@@ -26,10 +26,8 @@ from .errors import (
     TableFormatError,
 )
 from .partitions import (
-    enumerate_interval,
-    enumerate_irreducible_nc,
+    _FAMILIES,
     enumerate_monotone,
-    enumerate_nc,
     monotone_labelling_count,
     tree_factorial,
 )
@@ -45,12 +43,6 @@ from .transforms import (
 
 _PARTITION_CAP = 10
 _MONOTONE_CAP = 8
-
-_FAMILY_LISTS = {
-    "nc": enumerate_nc,
-    "irr-nc": enumerate_irreducible_nc,
-    "interval": enumerate_interval,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     parts.add_argument("--n", type=int, required=True, help="number of points")
     parts.add_argument(
         "--family",
-        choices=("nc", "irr-nc", "interval", "monotone"),
+        choices=(*_FAMILIES, "monotone"),
         default="nc",
         help="partition family (default nc)",
     )
@@ -210,7 +202,7 @@ def _cmd_partitions(args) -> int:
     else:
         if not 1 <= n <= _PARTITION_CAP:
             return _fail(f"--n must be 1..{_PARTITION_CAP}")
-        ps = sorted(_FAMILY_LISTS[args.family](n))
+        ps = sorted(_FAMILIES[args.family](n))
         if args.stats:
             lines = [
                 f"{p}  tau!={tree_factorial(p)}  m={monotone_labelling_count(p)}"

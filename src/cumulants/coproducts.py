@@ -11,20 +11,19 @@ extracted:
                 vanishes; includes the w (x) unit term),
     right half  keeps the subsets with 1 not in S (includes unit (x) w).
 
-On multi-factor bar-words each half applies to the first factor and the
-full coproduct to the rest.  Both halves are undefined on the unit.
+On multi-factor bar-words each map splits the first factor its own way and
+multiplies by the full coproduct of the rest.  Both halves are undefined on
+the unit.
 
 All maps return shared, memoized LinComb values over pairs of bar-words
 (pairs of plain words for the reduced linearised variant), so callers must
-treat results as immutable.  The cache size can be capped with the
-CUMULANTS_CACHE_CAP environment variable; by default it is unbounded, which
-is safe because inputs are degree-bounded in every pipeline.
+treat results as immutable.  The caches are unbounded, which is safe
+because inputs are degree-bounded in every pipeline.
 """
 
 from __future__ import annotations
 
-import os
-from functools import lru_cache
+from functools import cache
 
 from .lincomb import LinComb
 from .words import (
@@ -36,10 +35,6 @@ from .words import (
     lift,
     subword,
 )
-
-_cap = os.environ.get("CUMULANTS_CACHE_CAP")
-_CACHE_CAP = int(_cap) if _cap else None
-del _cap
 
 
 def split_product(s: LinComb, t: LinComb) -> LinComb:
@@ -56,68 +51,48 @@ def split_product(s: LinComb, t: LinComb) -> LinComb:
     return LinComb._raw(acc)
 
 
-def _subset_terms(w: Word, masks) -> LinComb:
-    """One (subword, complement runs) pair per position-set mask."""
+def _split(u: BarWord, split_first, first_mask: int, step: int) -> LinComb:
+    """split_first on the first factor of u times the coproduct of the rest.
+
+    On a one-factor bar-word this is one (subword, complement runs) pair per
+    position-set mask in range(first_mask, 2^n, step).
+    """
+    w, *rest = u.factors
+    if rest:
+        return split_product(split_first(lift(w)), coproduct(BarWord(rest)))
     n = len(w.letters)
     acc: dict = {}
-    for mask in masks:
+    for mask in range(first_mask, 1 << n, step):
         positions = [p for p in range(1, n + 1) if mask >> (p - 1) & 1]
         key = (lift(subword(w, positions)), complement_components(w, positions))
         acc[key] = acc.get(key, 0) + 1
     return LinComb._raw(acc)
 
 
-@lru_cache(maxsize=_CACHE_CAP)
-def _coproduct_word(w: Word) -> LinComb:
-    n = len(w.letters)
-    return _subset_terms(w, range(1 << n))
-
-
-@lru_cache(maxsize=_CACHE_CAP)
-def _coproduct_left_word(w: Word) -> LinComb:
-    # Position 1 extracted: odd masks only.
-    n = len(w.letters)
-    return _subset_terms(w, range(1, 1 << n, 2))
-
-
-@lru_cache(maxsize=_CACHE_CAP)
-def _coproduct_right_word(w: Word) -> LinComb:
-    # Position 1 kept: even masks, the empty set included.
-    n = len(w.letters)
-    return _subset_terms(w, range(0, 1 << n, 2))
-
-
-@lru_cache(maxsize=_CACHE_CAP)
+@cache
 def coproduct(u: BarWord) -> LinComb:
     """The full coproduct; grouplike on the unit, multiplicative on factors."""
     if u.is_unit:
         return LinComb.term((UNIT, UNIT))
-    out = _coproduct_word(u.factors[0])
-    for w in u.factors[1:]:
-        out = split_product(out, _coproduct_word(w))
-    return out
+    return _split(u, coproduct, 0, 1)
 
 
-@lru_cache(maxsize=_CACHE_CAP)
+@cache
 def coproduct_left(u: BarWord) -> LinComb:
     """Left half-coproduct: first factor split with position 1 extracted."""
     if u.is_unit:
         raise ValueError("the half-coproducts are undefined on the unit bar-word")
-    out = _coproduct_left_word(u.factors[0])
-    for w in u.factors[1:]:
-        out = split_product(out, _coproduct_word(w))
-    return out
+    # Position 1 extracted: odd masks only.
+    return _split(u, coproduct_left, 1, 2)
 
 
-@lru_cache(maxsize=_CACHE_CAP)
+@cache
 def coproduct_right(u: BarWord) -> LinComb:
     """Right half-coproduct: first factor split with position 1 kept."""
     if u.is_unit:
         raise ValueError("the half-coproducts are undefined on the unit bar-word")
-    out = _coproduct_right_word(u.factors[0])
-    for w in u.factors[1:]:
-        out = split_product(out, _coproduct_word(w))
-    return out
+    # Position 1 kept: even masks, the empty set included.
+    return _split(u, coproduct_right, 0, 2)
 
 
 def coproduct_reduced(u: BarWord) -> LinComb:
@@ -137,7 +112,7 @@ def coproduct_right_reduced(u: BarWord) -> LinComb:
     return coproduct_right(u) - LinComb.term((UNIT, u))
 
 
-@lru_cache(maxsize=_CACHE_CAP)
+@cache
 def reduced_linearised(w: Word) -> LinComb:
     """Middle-interval extraction with single-word legs.
 
@@ -157,7 +132,7 @@ def reduced_linearised(w: Word) -> LinComb:
     return LinComb._raw(acc)
 
 
-@lru_cache(maxsize=_CACHE_CAP)
+@cache
 def iterated_reduced_left(w: Word, q: int) -> LinComb:
     """(q-1)-fold left iteration of the reduced linearised coproduct.
 

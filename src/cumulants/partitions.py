@@ -357,14 +357,3 @@ def monotone_tuple_lincomb(n: int, q: int, w: Word) -> LinComb:
         acc[key] = acc.get(key, 0) + 1
     return LinComb(acc.items())
 
-
-def format_forest(p: SetPartition) -> str:
-    """One-line nested rendering of the nesting forest, roots left to right."""
-    children = nesting_children(p)
-
-    def render(block) -> str:
-        inner = " ".join(render(c) for c in sorted(children[block]))
-        label = "{" + ",".join(map(str, block)) + "}"
-        return f"{label}({inner})" if inner else label
-
-    return " ".join(render(root) for root in sorted(children[None]))

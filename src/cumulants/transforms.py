@@ -130,9 +130,6 @@ class CumulantTable:
         kept = {w: v for w, v in self.values.items() if w.degree <= max_degree}
         return CumulantTable(self.kind, self.generators, max_degree, kept)
 
-    def with_kind(self, kind: str) -> "CumulantTable":
-        return CumulantTable(kind, self.generators, self.max_degree, self.values)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CumulantTable)

@@ -1,7 +1,6 @@
 """Command line behavior, driven in-process through main()."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -219,25 +218,6 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["convert", "--help"]) == 0
     capsys.readouterr()
-
-
-def test_cache_cap_env_var_is_honoured():
-    # the cap must be read at import time, so probe in a subprocess
-    code = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import cumulants as C; from fractions import Fraction as F; "
-            "w = C.Word((0, 1, 0)); "
-            "assert C.coproduct(C.lift(w)).coefficient((C.UNIT, C.lift(w))) == 1; "
-            "import cumulants.coproducts as cp; "
-            "assert cp.coproduct.cache_info().maxsize == 64",
-        ],
-        env={**os.environ, "CUMULANTS_CACHE_CAP": "64"},
-        capture_output=True,
-        text=True,
-    )
-    assert code.returncode == 0, code.stderr
 
 
 def test_module_entry_point_runs():

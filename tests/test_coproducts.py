@@ -8,6 +8,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cumulants.coproducts import (
     coproduct,
@@ -64,8 +66,15 @@ def test_coproduct_middle_extraction_leaves_two_components():
 
 
 def test_coproduct_is_multiplicative_over_bars():
-    u = bw(A, AB)
-    assert coproduct(u) == split_product(coproduct(lift(A)), coproduct(lift(AB)))
+    # each map splits the first factor its own way, then multiplies by the
+    # full coproduct of every later factor, from left to right
+    for split_first in (coproduct, coproduct_left, coproduct_right):
+        for u in all_barwords(2, 4):
+            first, *rest = u.factors
+            expect = split_first(lift(first))
+            for w in rest:
+                expect = split_product(expect, coproduct(lift(w)))
+            assert split_first(u) == expect, (split_first.__name__, u)
 
 
 def test_half_coproducts_partition_the_full_one():
@@ -146,17 +155,44 @@ def test_iterated_reduced_left_rejects_bad_depth():
         iterated_reduced_left(AAA, 4)
 
 
+def assert_coassociative(u):
+    left = {}
+    right = {}
+    for (x, y), c in coproduct(u).items():
+        for (p, q), d in coproduct(x).items():
+            key = (p, q, y)
+            left[key] = left.get(key, 0) + c * d
+        for (p, q), d in coproduct(y).items():
+            key = (x, p, q)
+            right[key] = right.get(key, 0) + c * d
+    assert {k: v for k, v in left.items() if v} == {
+        k: v for k, v in right.items() if v
+    }
+
+
 def test_coassociativity_low_degrees():
     for u in all_barwords(2, 3, include_unit=True):
-        left = {}
-        right = {}
-        for (x, y), c in coproduct(u).items():
-            for (p, q), d in coproduct(x).items():
-                key = (p, q, y)
-                left[key] = left.get(key, 0) + c * d
-            for (p, q), d in coproduct(y).items():
-                key = (x, p, q)
-                right[key] = right.get(key, 0) + c * d
-        assert {k: v for k, v in left.items() if v} == {
-            k: v for k, v in right.items() if v
-        }
+        assert_coassociative(u)
+
+
+@st.composite
+def barwords(draw, n_letters=3, max_degree=6):
+    """A non-unit bar-word: random letters cut at random positions."""
+    letters = draw(
+        st.lists(st.integers(0, n_letters - 1), min_size=1, max_size=max_degree)
+    )
+    n = len(letters)
+    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    factors = [[letters[0]]]
+    for letter, cut in zip(letters[1:], cuts):
+        if cut:
+            factors.append([])
+        factors[-1].append(letter)
+    return BarWord(Word(f) for f in factors)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(barwords())
+def test_coproduct_laws_beyond_the_exhaustive_range(u):
+    assert_coassociative(u)
+    assert coproduct_left(u) + coproduct_right(u) == coproduct(u)
