@@ -6,13 +6,22 @@ sorted internally and ordered by minimum, which makes equality and hashing
 structural.  Enumerations are deterministic and bounded (n <= 12 for the
 non-crossing families, which is far beyond what the conversion pipelines
 ever request).
+
+`partition_sum` enumerates and weighs each family once per (degree, family,
+weight) and keeps the result as a shape: each partition's weight with its
+blocks as 0-based position tuples.  The shapes are bounded by MAX_N, hold
+no table values, and turn a sum over one word into block lookups and
+multiplications.  The four cumulant-cumulant weights over irreducible
+non-crossing partitions are those of Arizmendi, Hasebe, Lehner & Vargas,
+"Relations between cumulants in noncommutative probability" (Adv. Math.
+282, 2015, arXiv:1408.2977).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .errors import IncompleteTableError
 from .lincomb import LinComb
@@ -38,6 +47,16 @@ class SetPartition:
         self.n = n
         self.blocks = cleaned
         self._hash = hash((n, cleaned))
+
+    @classmethod
+    def _trusted(cls, n: int, blocks: tuple) -> "SetPartition":
+        """The enumerators' constructor: `blocks` must already be sorted
+        tuples that partition 1..n, ordered by minimum; nothing is checked."""
+        p = cls.__new__(cls)
+        p.n = n
+        p.blocks = blocks
+        p._hash = hash((n, blocks))
+        return p
 
     @property
     def num_blocks(self) -> int:
@@ -67,27 +86,44 @@ class SetPartition:
         return f"SetPartition({self.n}, {self})"
 
 
-def _runs(merged) -> int:
-    runs = 0
-    last = None
-    for _, label in merged:
-        if label != last:
-            runs += 1
-            last = label
-    return runs
+def _nesting_parents(p: SetPartition):
+    """Index in p.blocks of each block's parent in the nesting forest (-1
+    for a root), or None when p is crossing.
+
+    One scan over the positions with a stack of the blocks opened and not
+    yet closed.  Blocks cross exactly when a block is revisited while a
+    block opened after it is still open; otherwise the open blocks are
+    nested, and the innermost one is the parent of a block that opens.
+    """
+    owner = [0] * (p.n + 1)
+    for i, block in enumerate(p.blocks):
+        for x in block:
+            owner[x] = i
+    parents: list[int] = []
+    stack: list[int] = []
+    for x in range(1, p.n + 1):
+        i = owner[x]
+        block = p.blocks[i]
+        if x == block[0]:
+            parents.append(stack[-1] if stack else -1)
+            if x != block[-1]:
+                stack.append(i)
+        elif stack[-1] != i:
+            return None
+        elif x == block[-1]:
+            stack.pop()
+    return parents
 
 
-def _blocks_cross(a, b) -> bool:
-    # Two blocks cross exactly when their merged position sequence
-    # alternates at least A B A B (four runs).
-    merged = sorted([(x, 0) for x in a] + [(y, 1) for y in b])
-    return _runs(merged) >= 4
+def _forest(p: SetPartition) -> list[int]:
+    parents = _nesting_parents(p)
+    if parents is None:
+        raise ValueError(f"partition {p} is crossing; nesting needs non-crossing input")
+    return parents
 
 
 def is_noncrossing(p: SetPartition) -> bool:
-    return not any(
-        _blocks_cross(a, b) for a, b in itertools.combinations(p.blocks, 2)
-    )
+    return _nesting_parents(p) is not None
 
 
 def is_interval(p: SetPartition) -> bool:
@@ -96,74 +132,64 @@ def is_interval(p: SetPartition) -> bool:
 
 def is_irreducible(p: SetPartition) -> bool:
     """1 and n sit in the same block (and the partition is non-crossing)."""
-    first = next(b for b in p.blocks if 1 in b)
-    return p.n in first and is_noncrossing(p)
+    return p.n in p.blocks[0] and is_noncrossing(p)
 
 
-def _check_n(n: int, bound: int = MAX_N) -> None:
-    if not 1 <= n <= bound:
-        raise ValueError(f"n must be between 1 and {bound}, got {n}")
+def _check_n(n: int) -> None:
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be between 1 and {MAX_N}, got {n}")
 
 
-def enumerate_all_partitions(n: int):
-    """Every set partition of [n]; the brute-force oracle for the others."""
-    _check_n(n, bound=10)
-    partial: list[list[int]] = []
-
-    def grow(k: int):
-        if k > n:
-            yield SetPartition(n, [tuple(b) for b in partial])
-            return
-        for block in partial:
-            block.append(k)
-            yield from grow(k + 1)
-            block.pop()
-        partial.append([k])
-        yield from grow(k + 1)
-        partial.pop()
-
-    return list(grow(1))
-
-
-def _nc_blocks(elements: tuple[int, ...]):
-    """Non-crossing partitions of an arbitrary finite position set.
+def _nc_blocks(n: int, closed: bool = False):
+    """Non-crossing partitions of [n], as tuples of sorted blocks ordered by
+    minimum.
 
     Decomposes on the block of the smallest element: the rest of that block
     is any subset of the remaining positions, and the leftover positions
     fall into gaps between consecutive block members, each partitioned
-    independently (nothing may cross the block).
+    independently (nothing may cross the block).  With `closed` the block
+    of 1 also holds n, which gives the irreducible partitions without
+    building the others.  Every gap is an interval, so each one is
+    partitioned once per call and its list shared by the partitions around
+    it.
     """
-    if not elements:
-        yield ()
-        return
-    first, rest = elements[0], elements[1:]
-    for r in range(len(rest) + 1):
-        for chosen in itertools.combinations(rest, r):
-            block = (first,) + chosen
-            gaps: list[list[int]] = [[] for _ in range(len(block))]
-            for x in rest:
-                if x in chosen:
-                    continue
-                # index of the gap: after block[i] and before block[i+1]
-                i = 0
-                while i + 1 < len(block) and x > block[i + 1]:
-                    i += 1
-                gaps[i].append(x)
-            gap_parts = [list(_nc_blocks(tuple(g))) for g in gaps]
-            for combo in itertools.product(*gap_parts):
-                yield (block,) + tuple(itertools.chain.from_iterable(combo))
+    gaps: dict = {}
+
+    def gap(lo: int, hi: int) -> list:
+        key = (lo, hi)
+        parts = gaps.get(key)
+        if parts is None:
+            parts = gaps[key] = list(grow(lo, hi, False))
+        return parts
+
+    def grow(first: int, stop: int, closed: bool):
+        # the partitions of first..stop-1
+        if first >= stop:
+            yield ()
+            return
+        rest = range(first + 1, stop)
+        free, forced = (rest[:-1], (stop - 1,)) if closed and rest else (rest, ())
+        for r in range(len(free) + 1):
+            for chosen in itertools.combinations(free, r):
+                block = (first,) + chosen + forced
+                ends = block[1:] + (stop,)
+                gap_parts = [gap(lo + 1, hi) for lo, hi in zip(block, ends)]
+                for combo in itertools.product(*gap_parts):
+                    yield (block,) + tuple(itertools.chain.from_iterable(combo))
+
+    return grow(1, n + 1, closed)
 
 
 def enumerate_nc(n: int) -> list[SetPartition]:
     """All non-crossing partitions of [n] (Catalan many)."""
     _check_n(n)
-    return [SetPartition(n, blocks) for blocks in _nc_blocks(tuple(range(1, n + 1)))]
+    return [SetPartition._trusted(n, blocks) for blocks in _nc_blocks(n)]
 
 
 def enumerate_irreducible_nc(n: int) -> list[SetPartition]:
     """Non-crossing partitions whose block of 1 also contains n."""
     _check_n(n)
-    return [p for p in enumerate_nc(n) if p.n in next(b for b in p.blocks if 1 in b)]
+    return [SetPartition._trusted(n, blocks) for blocks in _nc_blocks(n, closed=True)]
 
 
 def enumerate_interval(n: int) -> list[SetPartition]:
@@ -178,7 +204,7 @@ def enumerate_interval(n: int) -> list[SetPartition]:
                 blocks.append(tuple(range(start, k)))
                 start = k
         blocks.append(tuple(range(start, n + 1)))
-        out.append(SetPartition(n, blocks))
+        out.append(SetPartition._trusted(n, tuple(blocks)))
     return out
 
 
@@ -189,42 +215,24 @@ def nesting_children(p: SetPartition) -> dict:
     min W < min V and max V < max W.  Keys are blocks, plus None for the
     roots.  Crossing input is rejected.
     """
-    if not is_noncrossing(p):
-        raise ValueError(f"partition {p} is crossing; nesting needs non-crossing input")
-    parent: dict = {}
-    for v in p.blocks:
-        best = None
-        for w in p.blocks:
-            if w is v:
-                continue
-            if w[0] < v[0] and v[-1] < w[-1]:
-                if best is None or w[0] > best[0]:
-                    best = w
-        parent[v] = best
+    parents = _forest(p)
     children: dict = {None: []}
     for b in p.blocks:
         children[b] = []
-    for v in p.blocks:
-        children[parent[v]].append(v)
+    for b, i in zip(p.blocks, parents):
+        children[p.blocks[i] if i >= 0 else None].append(b)
     return children
 
 
 def tree_factorial(p: SetPartition) -> int:
     """Product over blocks of the size of the nesting subtree below them."""
-    children = nesting_children(p)
-    sizes: dict = {}
-
-    def size(block) -> int:
-        total = 1 + sum(size(c) for c in children[block])
-        sizes[block] = total
-        return total
-
-    for root in children[None]:
-        size(root)
-    out = 1
-    for b in p.blocks:
-        out *= sizes[b]
-    return out
+    parents = _forest(p)
+    sizes = [1] * len(parents)
+    # A parent opens before its children, so it has the smaller index.
+    for i in range(len(parents) - 1, 0, -1):
+        if parents[i] >= 0:
+            sizes[parents[i]] += sizes[i]
+    return prod(sizes)
 
 
 def monotone_labelling_count(p: SetPartition) -> int:
@@ -316,31 +324,65 @@ WEIGHTS = {
 }
 
 
+# (n, family, weight) -> ((weight(p), blocks of p as 0-based positions), ...)
+# over the family's partitions of [n].  At most MAX_N * len(_FAMILIES) *
+# len(WEIGHTS) keys; equal blocks and equal weights of one key share one
+# object, which keeps the largest key (NC(12), 208 012 partitions) near 35 MB.
+_SHAPES: dict = {}
+
+
+def _shapes(n: int, family: str, weight: str) -> tuple:
+    key = (n, family, weight)
+    shapes = _SHAPES.get(key)
+    if shapes is None:
+        weigh = WEIGHTS[weight]
+        weights: dict = {}
+        blocks: dict = {}
+        entries = []
+        for p in _FAMILIES[family](n):
+            c = weigh(p)
+            positions = []
+            for b in p.blocks:
+                zero_based = blocks.get(b)
+                if zero_based is None:
+                    zero_based = blocks[b] = tuple(x - 1 for x in b)
+                positions.append(zero_based)
+            entries.append((weights.setdefault(c, c), tuple(positions)))
+        shapes = _SHAPES[key] = tuple(entries)
+    return shapes
+
+
 def partition_sum(values, w: Word, family: str, weight: str = "one") -> Fraction:
     """Sum over the family of weight(p) times the product of block values.
 
     `values` maps words to scalars; each block contributes the value of the
-    subword of w at the block's positions.  Missing entries raise
-    IncompleteTableError rather than defaulting.
+    subword of w at the block's positions.  Every block's entry is looked
+    up, and a missing one raises IncompleteTableError rather than
+    defaulting, even where another block's value is zero.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; pick from {sorted(_FAMILIES)}")
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}; pick from {sorted(WEIGHTS)}")
-    weigh = WEIGHTS[weight]
+    shapes = _shapes(w.degree, family, weight)
+    letters = w.letters
+    # Every distinct block, in order of first use, before any product: a
+    # missing entry raises even where a zero factor would skip its block.
+    block_values = {}
+    for block in dict.fromkeys(itertools.chain.from_iterable(b for _, b in shapes)):
+        piece = Word(letters[i] for i in block)
+        try:
+            block_values[block] = values[piece]
+        except KeyError:
+            raise IncompleteTableError(
+                f"no table value for the word {piece!r}", word=piece
+            ) from None
     total = Fraction(0)
-    for p in _FAMILIES[family](w.degree):
-        product = weigh(p)
-        for block in p.blocks:
+    for product, blocks in shapes:
+        for block in blocks:
             if not product:
                 break
-            piece = subword(w, block)
-            try:
-                product *= values[piece]
-            except KeyError:
-                raise IncompleteTableError(
-                    f"no table value for the word {piece!r}", word=piece
-                ) from None
+            product *= block_values[block]
         total += product
     return total
 

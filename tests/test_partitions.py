@@ -1,14 +1,15 @@
 """Set partition families, nesting forests, and lattice sums."""
 
+import itertools
+import random
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
 from cumulants.errors import IncompleteTableError
 from cumulants.partitions import (
     SetPartition,
-    enumerate_all_partitions,
     enumerate_interval,
     enumerate_irreducible_nc,
     enumerate_monotone,
@@ -22,11 +23,30 @@ from cumulants.partitions import (
     partition_sum,
     tree_factorial,
 )
-from cumulants.words import Word
+from cumulants.words import Word, all_words, subword
 
 
 def part(n, *blocks):
     return SetPartition(n, blocks)
+
+
+def enumerate_all_partitions(n):
+    """Every set partition of [n]; the brute-force oracle for the families."""
+    partial = []
+
+    def grow(k):
+        if k > n:
+            yield SetPartition(n, [tuple(b) for b in partial])
+            return
+        for block in partial:
+            block.append(k)
+            yield from grow(k + 1)
+            block.pop()
+        partial.append([k])
+        yield from grow(k + 1)
+        partial.pop()
+
+    return list(grow(1))
 
 
 def catalan(n):
@@ -231,3 +251,119 @@ def test_partition_sum_rejects_unknowns():
         partition_sum(values, Word((0,)), "nc", "heavy")
     with pytest.raises(IncompleteTableError):
         partition_sum(values, Word((0, 0)), "nc", "one")
+
+
+def test_partition_sum_looks_up_blocks_behind_a_zero_factor():
+    a, b = 0, 1
+    values = {Word((b,)): F(0), Word((a,)): F(2), Word((b, a)): F(1), Word((b, a, a)): F(5)}
+    # {1}{2,3} on baa reads b and the missing aa; b's zero must not hide it
+    with pytest.raises(IncompleteTableError) as info:
+        partition_sum(values, Word((b, a, a)), "nc", "one")
+    assert info.value.word == Word((a, a))
+
+
+def _crossing_pair(a, b):
+    return any(
+        x1 < y1 < x2 < y2 or y1 < x1 < y2 < x2
+        for x1, x2 in itertools.combinations(a, 2)
+        for y1, y2 in itertools.combinations(b, 2)
+    )
+
+
+def _pairwise_noncrossing(p):
+    return not any(_crossing_pair(a, b) for a, b in itertools.combinations(p.blocks, 2))
+
+
+def _innermost_cover(p, v):
+    covers = [w for w in p.blocks if w[0] < v[0] and v[-1] < w[-1]]
+    return max(covers, default=None)
+
+
+def test_noncrossing_scan_matches_the_pairwise_definition():
+    for n in range(1, 8):
+        for p in enumerate_all_partitions(n):
+            assert is_noncrossing(p) == _pairwise_noncrossing(p), p
+
+
+def test_nesting_forest_matches_the_innermost_cover():
+    for n in range(1, 8):
+        for p in enumerate_nc(n):
+            kids = nesting_children(p)
+            parent = {c: b for b in kids for c in kids[b]}
+            assert parent == {v: _innermost_cover(p, v) for v in p.blocks}, p
+
+
+def test_irreducible_enumeration_is_the_filtered_nc_lattice():
+    for n in range(1, 11):
+        filtered = {p for p in enumerate_nc(n) if p.n in p.blocks[0]}
+        ps = enumerate_irreducible_nc(n)
+        assert len(ps) == len(filtered)
+        assert set(ps) == filtered
+
+
+_FAMILY_FILTERS = {
+    "nc": is_noncrossing,
+    "irr-nc": is_irreducible,
+    "interval": is_interval,
+}
+
+
+_WEIGHT_NAMES = ("one", "sign", "inv_tau", "sign_inv_tau", "labelling")
+
+
+def _brute_weights(p):
+    k = p.num_blocks
+    sign = (-1) ** (k - 1)
+    # 1/tau! = (outer-first block orders) / k!, the hook length formula
+    inv_tau = F(sum(1 for _ in linear_extensions(p)), factorial(k))
+    return {
+        "one": F(1),
+        "sign": F(sign),
+        "inv_tau": inv_tau,
+        "sign_inv_tau": sign * inv_tau,
+        "labelling": inv_tau,
+    }
+
+
+def _block_products(values, w, members):
+    return [prod(values[subword(w, block)] for block in p.blocks) for p in members]
+
+
+def _random_values(n_letters, max_degree, seed):
+    rng = random.Random(seed)
+    return {
+        w: F(rng.randint(-3, 3), rng.randint(1, 3))
+        for w in all_words(n_letters, max_degree)
+    }
+
+
+def test_partition_sum_matches_brute_force_over_all_partitions():
+    values = _random_values(2, 7, 11)
+    rng = random.Random(12)
+    for n in range(1, 8):
+        everything = enumerate_all_partitions(n)
+        words = list(all_words(2, n, min_degree=n))
+        if n > 5:  # every word up to degree 5, then a seeded sample
+            words = rng.sample(words, 16)
+        for family, keep in _FAMILY_FILTERS.items():
+            members = [p for p in everything if keep(p)]
+            weights = [_brute_weights(p) for p in members]
+            for w in words:
+                products = _block_products(values, w, members)
+                for weight in _WEIGHT_NAMES:
+                    expected = sum(c[weight] * x for c, x in zip(weights, products))
+                    got = partition_sum(values, w, family, weight)
+                    assert got == expected, (w, family, weight)
+
+
+def test_partition_sums_keep_no_table_values():
+    w = Word((0, 1, 1, 0, 1))
+    first, second = _random_values(2, 5, 1), _random_values(2, 5, 2)
+    for family, keep in _FAMILY_FILTERS.items():
+        members = [p for p in enumerate_all_partitions(5) if keep(p)]
+        weights = [_brute_weights(p) for p in members]
+        for weight in ("one", "inv_tau"):
+            for values in (first, second, first):
+                products = _block_products(values, w, members)
+                expected = sum(c[weight] * x for c, x in zip(weights, products))
+                assert partition_sum(values, w, family, weight) == expected
