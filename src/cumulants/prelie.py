@@ -1,10 +1,30 @@
-"""Infinitesimal characters as word tables, the triangle product, and the
+"""Infinitesimal characters as word tables, the pre-Lie product, and the
 Magnus expansion with its inverse.
 
 An InfChar stores the values of an infinitesimal character on every word up
 to a degree bound; off the single-word part the character is zero by
-definition.  The triangle product a > b - b < a of two infinitesimal
-characters is again one, so closing the tables under triangle stays exact.
+definition.
+
+The pre-Lie product a |> b = a > b - b < a pairs its operands over the half
+coproducts, 2^(n-1) extractions per word of degree n.  Both operands vanish
+on the unit and on every bar product of two or more words, so an extraction
+contributes only when its complement is a single word.  For w = w_1...w_n:
+
+    (a > b)(w) = sum over 1 <= j < n          of a(w_{j+1..n}) b(w_{1..j})
+    (b < a)(w) = sum over 2 <= i <= j <= n    of b(w without w_{i..j}) a(w_{i..j})
+
+a prefix complement in the first sum (n - 1 terms), one inner interval in
+the second (n(n-1)/2 terms).  `triangle` sums exactly these terms on the
+tables, so the product of two infinitesimal characters is one again and
+stays exact.  verify_suite keeps the product built from forms over the full
+half coproducts as the independent check: prelie-closure confirms on it that
+nothing else survives, and magnus-fixed-point and interchange compare
+`magnus` and `w_map` with the exponentials of forms.
+
+Every term reads its operands below degree n, and vanishes unless each
+operand is read at or above its lowest non-zero degree.  So `magnus` solves
+its fixed point one degree at a time, and `triangle` skips the degrees below
+the sum of its operands' lowest non-zero degrees.
 
 Bernoulli numbers follow the convention B_1 = -1/2, which is the one under
 which the Magnus expansion reads  a - (1/2) a|>a + ...  The Magnus map and
@@ -18,8 +38,10 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import IncompleteTableError
-from .forms import LEFT, RIGHT, Conv, InfinitesimalFromWords, Scale
+from .forms import InfinitesimalFromWords
 from .words import Word, all_words
+
+_ZERO = Fraction(0)
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 
@@ -113,49 +135,102 @@ class InfChar:
         return f"InfChar(letters={self.n_letters}, max_degree={self.max_degree})"
 
 
+def _letter_table(c: InfChar) -> dict[tuple[int, ...], Fraction]:
+    """The table keyed by letter tuples, which the kernel slices."""
+    return {w.letters: v for w, v in c.table.items()}
+
+
+def _lowest_degree(c: InfChar) -> int:
+    """The lowest degree with a non-zero value; past the bound if none."""
+    return min((w.degree for w, v in c.table.items() if v), default=c.max_degree + 1)
+
+
+def _triangle_at(a, b, letters: tuple[int, ...]) -> Fraction:
+    """(a > b - b < a)(w) at w = letters, from letter-keyed tables of a, b.
+
+    Reads a and b only below the degree of w (see the module docstring).
+    """
+    n = len(letters)
+    total = _ZERO
+    for j in range(1, n):  # a > b: the complement is the prefix w_1..w_j
+        x = a[letters[j:]]
+        if x:
+            y = b[letters[:j]]
+            if y:
+                total += x * y
+    for i in range(1, n):  # b < a: the complement is w_{i+1..j}, 0-based i:j
+        head = letters[:i]
+        for j in range(i + 1, n + 1):
+            x = a[letters[i:j]]
+            if x:
+                y = b[head + letters[j:]]
+                if y:
+                    total -= y * x
+    return total
+
+
 def triangle(a: InfChar, b: InfChar) -> InfChar:
-    """The pre-Lie product a > b - b < a, tabulated on words."""
+    """The pre-Lie product a > b - b < a, tabulated on words.
+
+    Sums the O(n^2) extractions that survive on infinitesimal operands, and
+    writes zero without summing below the degree lowest(a) + lowest(b).
+    """
     if (a.n_letters, a.max_degree) != (b.n_letters, b.max_degree):
         raise ValueError("infinitesimal characters live on different truncations")
-    fa, fb = a.as_form(), b.as_form()
-    form = Conv(RIGHT, fa, fb) + Scale(Fraction(-1), Conv(LEFT, fb, fa))
+    low = _lowest_degree(a) + _lowest_degree(b)
+    ta, tb = _letter_table(a), _letter_table(b)
     return InfChar(
         a.n_letters,
         a.max_degree,
-        {w: form.eval_word(w) for w in all_words(a.n_letters, a.max_degree)},
+        {
+            w: _triangle_at(ta, tb, w.letters) if w.degree >= low else _ZERO
+            for w in a.table
+        },
     )
 
 
 def w_map(a: InfChar) -> InfChar:
     """Sum over k of L_{a|>}^k(a) / (k+1)!, truncated by the table bound.
 
-    The k-th iterate vanishes on degrees <= k, so k stops at the bound - 1.
+    The k-th iterate vanishes on degrees <= k + 1 (a |> a vanishes at every
+    w1 w2, and each product raises that degree by one), so k stops at the
+    bound - 2; `triangle` finds from the values which low degrees vanish.
     """
-    total = a  # the k = 0 term has coefficient 1/1! = 1
+    total = dict(a.table)  # the k = 0 term has coefficient 1/1! = 1
     iterate = a
-    for k in range(1, a.max_degree):
+    for k in range(1, a.max_degree - 1):
         iterate = triangle(a, iterate)
-        total = total + iterate.scale(Fraction(1, factorial(k + 1)))
-    return total
+        c = Fraction(1, factorial(k + 1))
+        for w, v in iterate.table.items():
+            if v:
+                total[w] += c * v
+    return InfChar(a.n_letters, a.max_degree, total)
 
 
 def magnus(a: InfChar) -> InfChar:
-    """The inverse of w_map on the truncation, by graded fixed-point iteration.
+    """The inverse of w_map on the truncation, solved degree by degree.
 
-    Iterates  om <- sum_m (B_m/m!) L_{om|>}^m(a);  the degree-n slice is
-    final after n passes, so the table goes literally stable within
-    max_degree + 1 passes and the loop exits on exact equality.
+    Omega is the fixed point  Omega = sum_m (B_m/m!) L^m  with L^0 = a and
+    L^m = Omega |> L^(m-1).  At a word of degree n, L^m reads Omega and
+    L^(m-1) only below n.  It vanishes when n <= m + 1: at w = w1 w2,
+    L^1 = Omega(w2) a(w1) - a(w1) Omega(w2) = 0, and each L raises the
+    vanishing degree by one.  So walking the words by ascending degree, each
+    value of each iterate is computed once, from values already final.
     """
-    om = a
-    for _ in range(a.max_degree + 1):
-        iterate = a
-        new = a.scale(bernoulli(0))  # = a
-        for m in range(1, a.max_degree):
-            iterate = triangle(om, iterate)
-            b_m = bernoulli(m)
-            if b_m:
-                new = new + iterate.scale(b_m / factorial(m))
-        if new == om:
-            return om
-        om = new
-    raise RuntimeError("Magnus iteration failed to stabilize; this is a bug")
+    d = a.max_degree
+    coeffs = [bernoulli(m) / factorial(m) for m in range(d)]
+    om: dict[tuple[int, ...], Fraction] = {}
+    iterates = [_letter_table(a)] + [{} for _ in range(2, d)]  # L^0 .. L^(d-2)
+    for w in a.table:  # ascending degree
+        letters = w.letters
+        value = coeffs[0] * iterates[0][letters]
+        for m in range(1, d - 1):
+            if m + 1 < w.degree:
+                v = _triangle_at(om, iterates[m - 1], letters)
+                if coeffs[m]:
+                    value += coeffs[m] * v
+            else:
+                v = _ZERO
+            iterates[m][letters] = v
+        om[letters] = value
+    return InfChar(a.n_letters, d, {w: om[w.letters] for w in a.table})

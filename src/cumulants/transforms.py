@@ -161,6 +161,13 @@ def _infchar(table: CumulantTable) -> prelie.InfChar:
     return prelie.InfChar(table.n_letters, table.max_degree, table.values)
 
 
+def _check_degree_cap(c: CumulantTable) -> None:
+    # The partition route enumerates at most partitions.MAX_N points, the
+    # same bound; refuse before the shuffle route spends time on more.
+    if c.max_degree > CONVERT_DEGREE_CAP:
+        raise ValueError(f"degree {c.max_degree} exceeds the cap {CONVERT_DEGREE_CAP}")
+
+
 def _words_of(table: CumulantTable):
     return all_words(table.n_letters, table.max_degree)
 
@@ -257,9 +264,13 @@ _MOMENT_PARTITIONS = {
 
 
 def cumulants_to_moments(c: CumulantTable) -> CumulantTable:
-    """Moments from a cumulant table, cross-checked along both routes."""
+    """Moments from a cumulant table, cross-checked along both routes.
+
+    A table above CONVERT_DEGREE_CAP is refused before either route runs.
+    """
     if c.kind not in CUMULANT_KINDS:
         raise ValueError(f"expected a cumulant table, got kind {c.kind!r}")
+    _check_degree_cap(c)
     exp_form = _MOMENT_EXP[c.kind](forms.InfinitesimalFromWords(c.values))
     family, weight = _MOMENT_PARTITIONS[c.kind]
     values: dict[Word, Fraction] = {}
@@ -333,8 +344,7 @@ def convert(c: CumulantTable, target: str) -> CumulantTable:
         raise ValueError(f"target must be one of {CUMULANT_KINDS}, got {target!r}")
     if target == c.kind:
         raise ValueError("source and target kinds must differ")
-    if c.max_degree > CONVERT_DEGREE_CAP:
-        raise ValueError(f"degree {c.max_degree} exceeds the cap {CONVERT_DEGREE_CAP}")
+    _check_degree_cap(c)
     result = _CONVERSIONS[(c.kind, target)](_infchar(c))
     out = CumulantTable(target, c.generators, c.max_degree, result.table)
 

@@ -119,6 +119,25 @@ def test_convert_incomplete_table(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("target", ["moment", "monotone"])
+def test_convert_refuses_a_table_past_the_degree_cap(target, tmp_path, capsys):
+    # Refused up front, before the shuffle route runs: both targets give
+    # the same message, and nothing reaches standard output.
+    doc = {
+        "kind": "free",
+        "generators": ["a"],
+        "max_degree": 13,
+        "values": {"a" * n: str(n) for n in range(1, 14)},
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["convert", "-i", str(path), "--to", target])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: degree 13 exceeds the cap 12\n"
+
+
 def test_unknown_target_kind(semi_file, capsys):
     code = main(["convert", "-i", str(semi_file), "--to", "classical"])
     assert code == 1

@@ -1,7 +1,12 @@
+import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cumulants import forms
 from cumulants.errors import IncompleteTableError
 from cumulants.prelie import InfChar, bernoulli, magnus, triangle, w_map
 from cumulants.words import Word, all_words
@@ -9,6 +14,48 @@ from cumulants.words import Word, all_words
 
 def univariate(degree, values):
     return InfChar(1, degree, {Word((0,) * n): F(v) for n, v in zip(range(1, degree + 1), values)})
+
+
+def form_triangle(a, b):
+    """a > b - b < a over the full half coproducts, from forms."""
+    fa, fb = a.as_form(), b.as_form()
+    form = forms.half_right(fa, fb) - forms.half_left(fb, fa)
+    return InfChar(a.n_letters, a.max_degree, {w: form.eval_word(w) for w in a.table})
+
+
+def fixed_point_magnus(a):
+    """Omega by whole passes of  om <- sum_m (B_m/m!) L_{om|>}^m(a)  until the
+    table repeats; the degree-n slice is final after n passes."""
+    om = a
+    for _ in range(a.max_degree + 1):
+        iterate = a
+        new = a.scale(bernoulli(0))
+        for m in range(1, a.max_degree):
+            iterate = form_triangle(om, iterate)
+            b_m = bernoulli(m)
+            if b_m:
+                new = new + iterate.scale(b_m / factorial(m))
+        if new == om:
+            return om
+        om = new
+    raise AssertionError("the fixed-point iteration did not stabilize")
+
+
+# derandomize keeps the examples the same from run to run.
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=10)
+
+
+@st.composite
+def tables(draw, n_letters, degree):
+    """A random InfChar, about one value in five zero, and zero below a drawn
+    degree so that the product's skipped low degrees are exercised too."""
+    lowest = draw(st.integers(1, degree + 1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    values = {}
+    for w in all_words(n_letters, degree):
+        zero = w.degree < lowest or rng.random() < 0.2
+        values[w] = F(0) if zero else F(rng.randint(-6, 6), rng.randint(1, 4))
+    return InfChar(n_letters, degree, values)
 
 
 def test_bernoulli_prefix():
@@ -84,3 +131,21 @@ def test_magnus_of_zero_is_zero():
     z = InfChar.zero(1, 3)
     assert magnus(z) == z
     assert w_map(z) == z
+
+
+# A table of the largest degree holds every lower degree too.
+@pytest.mark.parametrize("n_letters, degree", [(1, 6), (2, 6), (3, 5)])
+@_PROPERTY
+@given(data=st.data())
+def test_triangle_equals_the_product_over_full_half_coproducts(n_letters, degree, data):
+    a = data.draw(tables(n_letters, degree))
+    b = data.draw(tables(n_letters, degree))
+    assert triangle(a, b) == form_triangle(a, b)
+
+
+@pytest.mark.parametrize("n_letters, degree", [(1, 6), (2, 6), (3, 4)])
+@settings(_PROPERTY, max_examples=5)
+@given(data=st.data())
+def test_graded_magnus_equals_the_fixed_point_iteration(n_letters, degree, data):
+    a = data.draw(tables(n_letters, degree))
+    assert magnus(a) == fixed_point_magnus(a)
