@@ -8,20 +8,22 @@ non-crossing families, which is far beyond what the conversion pipelines
 ever request).
 
 `partition_sum` enumerates and weighs each family once per (degree, family,
-weight) and keeps the result as a shape: each partition's weight with its
-blocks as 0-based position tuples.  The shapes are bounded by MAX_N, hold
-no table values, and turn a sum over one word into block lookups and
-multiplications.  The four cumulant-cumulant weights over irreducible
-non-crossing partitions are those of Arizmendi, Hasebe, Lehner & Vargas,
-"Relations between cumulants in noncommutative probability" (Adv. Math.
-282, 2015, arXiv:1408.2977).
+weight) and keeps the result as a shape: the distinct blocks as 0-based
+position tuples, and the partitions as tuples of block indices, grouped by
+block count and weight, with the weights scaled to integers.  The shapes
+are bounded by MAX_N and hold no table values.  A sum over one word is then
+one lookup per distinct block and exact integer arithmetic over one common
+denominator, with a single Fraction built at the end.  The four
+cumulant-cumulant weights over irreducible non-crossing partitions are
+those of Arizmendi, Hasebe, Lehner & Vargas, "Relations between cumulants
+in noncommutative probability" (Adv. Math. 282, 2015, arXiv:1408.2977).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .errors import IncompleteTableError
 from .lincomb import LinComb
@@ -324,10 +326,15 @@ WEIGHTS = {
 }
 
 
-# (n, family, weight) -> ((weight(p), blocks of p as 0-based positions), ...)
-# over the family's partitions of [n].  At most MAX_N * len(_FAMILIES) *
-# len(WEIGHTS) keys; equal blocks and equal weights of one key share one
-# object, which keeps the largest key (NC(12), 208 012 partitions) near 35 MB.
+# (n, family, weight) -> (blocks, scale, groups) over the family's
+# partitions of [n]:
+# - blocks: the distinct blocks as 0-based position tuples, in order of
+#   first use;
+# - scale: the lcm of the weights' denominators;
+# - groups: one (k, c * scale, partitions) per block count k and weight c,
+#   each partition a tuple of indices into blocks.
+# At most MAX_N * len(_FAMILIES) * len(WEIGHTS) keys; the largest, NC(12)
+# with 208 012 partitions, holds about 21 MB.
 _SHAPES: dict = {}
 
 
@@ -336,55 +343,63 @@ def _shapes(n: int, family: str, weight: str) -> tuple:
     shapes = _SHAPES.get(key)
     if shapes is None:
         weigh = WEIGHTS[weight]
-        weights: dict = {}
-        blocks: dict = {}
-        entries = []
+        index: dict = {}
+        groups: dict = {}
         for p in _FAMILIES[family](n):
-            c = weigh(p)
-            positions = []
-            for b in p.blocks:
-                zero_based = blocks.get(b)
-                if zero_based is None:
-                    zero_based = blocks[b] = tuple(x - 1 for x in b)
-                positions.append(zero_based)
-            entries.append((weights.setdefault(c, c), tuple(positions)))
-        shapes = _SHAPES[key] = tuple(entries)
+            members = groups.setdefault((len(p.blocks), weigh(p)), [])
+            members.append(tuple(index.setdefault(b, len(index)) for b in p.blocks))
+        scale = lcm(*(c.denominator for _, c in groups))
+        blocks = tuple(tuple(x - 1 for x in b) for b in index)
+        shapes = _SHAPES[key] = (
+            blocks,
+            scale,
+            tuple(
+                (k, c.numerator * (scale // c.denominator), tuple(members))
+                for (k, c), members in groups.items()
+            ),
+        )
     return shapes
 
 
 def partition_sum(values, w: Word, family: str, weight: str = "one") -> Fraction:
     """Sum over the family of weight(p) times the product of block values.
 
-    `values` maps words to scalars; each block contributes the value of the
-    subword of w at the block's positions.  Every block's entry is looked
-    up, and a missing one raises IncompleteTableError rather than
-    defaulting, even where another block's value is zero.
+    `values` maps words to rationals (Fraction or int); each block
+    contributes the value of the subword of w at the block's positions.
+    Every block's entry is looked up, and a missing one raises
+    IncompleteTableError rather than defaulting, even where another block's
+    value is zero.
+
+    The sum is exact and in integers: with L the lcm of the block values'
+    denominators and N(B) = value(B) * L, a partition with k blocks
+    contributes c * scale * prod N(B) * L^(n-k) over scale * L^n, so one
+    Fraction is built at the end.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; pick from {sorted(_FAMILIES)}")
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}; pick from {sorted(WEIGHTS)}")
-    shapes = _shapes(w.degree, family, weight)
+    n = w.degree
+    blocks, scale, groups = _shapes(n, family, weight)
     letters = w.letters
     # Every distinct block, in order of first use, before any product: a
-    # missing entry raises even where a zero factor would skip its block.
-    block_values = {}
-    for block in dict.fromkeys(itertools.chain.from_iterable(b for _, b in shapes)):
+    # missing entry raises even where another block's value is zero.
+    block_values = []
+    for block in blocks:
         piece = Word(letters[i] for i in block)
         try:
-            block_values[block] = values[piece]
+            block_values.append(values[piece])
         except KeyError:
             raise IncompleteTableError(
                 f"no table value for the word {piece!r}", word=piece
             ) from None
-    total = Fraction(0)
-    for product, blocks in shapes:
-        for block in blocks:
-            if not product:
-                break
-            product *= block_values[block]
-        total += product
-    return total
+    common = lcm(*(v.denominator for v in block_values))
+    numerators = [v.numerator * (common // v.denominator) for v in block_values]
+    at = numerators.__getitem__
+    total = 0
+    for k, scaled, members in groups:
+        total += scaled * sum(prod(map(at, p)) for p in members) * common ** (n - k)
+    return Fraction(total, scale * common**n)
 
 
 def monotone_tuple_lincomb(n: int, q: int, w: Word) -> LinComb:

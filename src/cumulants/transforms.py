@@ -163,7 +163,8 @@ def _infchar(table: CumulantTable) -> prelie.InfChar:
 
 def _check_degree_cap(c: CumulantTable) -> None:
     # The partition route enumerates at most partitions.MAX_N points, the
-    # same bound; refuse before the shuffle route spends time on more.
+    # same bound; refuse before the shuffle route, or a moment solver,
+    # spends time on more.
     if c.max_degree > CONVERT_DEGREE_CAP:
         raise ValueError(f"degree {c.max_degree} exceeds the cap {CONVERT_DEGREE_CAP}")
 
@@ -368,11 +369,15 @@ def convert(c: CumulantTable, target: str) -> CumulantTable:
 
 
 def convert_table(table: CumulantTable, target: str) -> CumulantTable:
-    """Dispatch any kind-to-kind conversion, moments included."""
+    """Dispatch any kind-to-kind conversion, moments included.
+
+    A table of any kind above CONVERT_DEGREE_CAP is refused up front.
+    """
     if target not in KINDS:
         raise ValueError(f"target must be one of {KINDS}, got {target!r}")
     if table.kind == target:
         raise ValueError("source and target kinds must differ")
+    _check_degree_cap(table)
     if table.kind == "moment":
         return moments_to_cumulants(table, target)
     if target == "moment":

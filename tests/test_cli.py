@@ -119,12 +119,11 @@ def test_convert_incomplete_table(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("target", ["moment", "monotone"])
-def test_convert_refuses_a_table_past_the_degree_cap(target, tmp_path, capsys):
-    # Refused up front, before the shuffle route runs: both targets give
-    # the same message, and nothing reaches standard output.
+def _convert_past_the_cap(source, target, tmp_path, capsys):
+    # Refused up front, before either route or a moment solver runs: every
+    # pair gives the same message, and nothing reaches standard output.
     doc = {
-        "kind": "free",
+        "kind": source,
         "generators": ["a"],
         "max_degree": 13,
         "values": {"a" * n: str(n) for n in range(1, 14)},
@@ -136,6 +135,16 @@ def test_convert_refuses_a_table_past_the_degree_cap(target, tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: degree 13 exceeds the cap 12\n"
+
+
+@pytest.mark.parametrize("target", ["moment", "monotone"])
+def test_convert_refuses_a_table_past_the_degree_cap(target, tmp_path, capsys):
+    _convert_past_the_cap("free", target, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("target", ["free", "monotone"])
+def test_convert_refuses_a_moment_table_past_the_degree_cap(target, tmp_path, capsys):
+    _convert_past_the_cap("moment", target, tmp_path, capsys)
 
 
 def test_unknown_target_kind(semi_file, capsys):

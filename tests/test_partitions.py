@@ -1,12 +1,17 @@
 """Set partition families, nesting forests, and lattice sums."""
 
+import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cumulants import partitions
 from cumulants.errors import IncompleteTableError
 from cumulants.partitions import (
     SetPartition,
@@ -367,3 +372,81 @@ def test_partition_sums_keep_no_table_values():
                 products = _block_products(values, w, members)
                 expected = sum(c[weight] * x for c, x in zip(weights, products))
                 assert partition_sum(values, w, family, weight) == expected
+
+
+@functools.cache
+def _weighed(n, family, weight):
+    return [(partitions.WEIGHTS[weight](p), p.blocks) for p in partitions._FAMILIES[family](n)]
+
+
+def _fraction_loop(values, w, family, weight):
+    """The sum one Fraction product at a time: the oracle for the integer kernel."""
+    total = F(0)
+    for product, blocks in _weighed(w.degree, family, weight):
+        for block in blocks:
+            product *= values[subword(w, block)]
+        total += product
+    return total
+
+
+# Large primes keep the denominators of a table coprime, so the common
+# denominator of one word's blocks grows wide.
+_PRIMES = (999_983, 999_979, 999_961, 999_959, 999_953, 999_931, 65_537, 7)
+_NUMERATORS = st.integers(-(10**6), 10**6)
+_SCALARS = st.one_of(
+    st.just(0),
+    _NUMERATORS,
+    st.builds(F, _NUMERATORS, st.integers(1, 10**6)),
+    st.builds(F, _NUMERATORS, st.sampled_from(_PRIMES)),
+)
+
+
+@pytest.mark.parametrize("weight", _WEIGHT_NAMES)
+@pytest.mark.parametrize("family", sorted(_FAMILY_FILTERS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(
+    pool=st.lists(_SCALARS, min_size=1, max_size=24),
+    rng=st.randoms(use_true_random=False),
+    data=st.data(),
+)
+def test_integer_kernel_equals_the_fraction_loop(family, weight, pool, rng, data):
+    # The labelling weight counts outer-first block orders one by one, 9!
+    # of them for nine singletons, so it stops at degree 8, the most that
+    # verify asks of it.
+    top = 8 if weight == "labelling" else 9
+    # Listed downwards, so the simplest example, drawn first, is the top degree.
+    n = data.draw(st.sampled_from(range(top, 0, -1)))
+    w = Word(tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+    values = {u: rng.choice(pool) for u in all_words(2, n)}
+    got = partition_sum(values, w, family, weight)
+    assert got == _fraction_loop(values, w, family, weight)
+    assert type(got) is F
+
+
+@pytest.mark.parametrize("weight", _WEIGHT_NAMES)
+@pytest.mark.parametrize("family", sorted(_FAMILY_FILTERS))
+def test_a_key_is_enumerated_and_weighed_once(family, weight, monkeypatch):
+    # What the benchmark's trace counts as `partitions.enumerated` and
+    # `weight_calls`: one enumeration per key, one weighing per partition,
+    # nothing for a further word of the same degree.
+    enumerate_family, weigh = partitions._FAMILIES[family], partitions.WEIGHTS[weight]
+    enumerated, weighed = [], []
+
+    def counted_family(n):
+        enumerated.append(enumerate_family(n))
+        return enumerated[-1]
+
+    def counted_weight(p):
+        weighed.append(p)
+        return weigh(p)
+
+    monkeypatch.setattr(partitions, "_SHAPES", {})
+    monkeypatch.setitem(partitions._FAMILIES, family, counted_family)
+    monkeypatch.setitem(partitions.WEIGHTS, weight, counted_weight)
+    values = _random_values(2, 6, 3)
+    partition_sum(values, Word((0, 1, 1, 0, 1, 0)), family, weight)
+    assert len(enumerated) == 1
+    assert Counter(weighed) == Counter(enumerated[0])
+    partition_sum(values, Word((1, 1, 0, 0, 1, 1)), family, weight)
+    assert len(enumerated) == 1
+    assert len(weighed) == len(enumerated[0])
