@@ -57,10 +57,10 @@ def _split(u: BarWord, split_first, first_mask: int, step: int) -> LinComb:
     On a one-factor bar-word this is one (subword, complement runs) pair per
     position-set mask in range(first_mask, 2^n, step).
     """
-    w, *rest = u.factors
+    w, *rest = u
     if rest:
         return split_product(split_first(lift(w)), coproduct(BarWord(rest)))
-    n = len(w.letters)
+    n = len(w)
     acc: dict = {}
     for mask in range(first_mask, 1 << n, step):
         positions = [p for p in range(1, n + 1) if mask >> (p - 1) & 1]
@@ -120,14 +120,13 @@ def reduced_linearised(w: Word) -> LinComb:
     and I1 u I3 non-empty; each split contributes the pair (word on I1 then
     I3, word on I2).  Keys are (Word, Word) pairs.
     """
-    letters = w.letters
-    n = len(letters)
+    n = len(w)
     acc: dict = {}
     for i in range(n + 1):  # I1 = positions 1..i
         for j in range(i + 1, n + 1):  # I2 = positions i+1..j
             if i == 0 and j == n:
                 continue
-            key = (Word(letters[:i] + letters[j:]), Word(letters[i:j]))
+            key = (Word(w[:i] + w[j:]), Word(w[i:j]))
             acc[key] = acc.get(key, 0) + 1
     return LinComb._raw(acc)
 
@@ -139,7 +138,7 @@ def iterated_reduced_left(w: Word, q: int) -> LinComb:
     Keys are q-tuples of non-empty words; the interval extracted last sits
     in the final slot.  Defined for 1 <= q <= degree(w).
     """
-    n = len(w.letters)
+    n = len(w)
     if not 1 <= q <= n:
         raise ValueError(f"q must be between 1 and the degree {n}, got {q}")
     if q == 1:

@@ -95,7 +95,7 @@ class CharacterFromWords(Form):
 
     def _eval(self, u):
         out = _ONE
-        for w in u.factors:
+        for w in u:
             try:
                 out *= self.table[w]
             except KeyError:
@@ -115,13 +115,13 @@ class InfinitesimalFromWords(Form):
         self.table = dict(table)
 
     def _eval(self, u):
-        if len(u.factors) != 1:
+        if len(u) != 1:
             return _ZERO
         try:
-            return Fraction(self.table[u.factors[0]])
+            return Fraction(self.table[u[0]])
         except KeyError:
             raise IncompleteTableError(
-                f"no table value for the word {barword_str(u)}", word=u.factors[0]
+                f"no table value for the word {barword_str(u)}", word=u[0]
             ) from None
 
 

@@ -345,7 +345,12 @@ def _shapes(n: int, family: str, weight: str) -> tuple:
         weigh = WEIGHTS[weight]
         index: dict = {}
         groups: dict = {}
-        for p in _FAMILIES[family](n):
+        found = _FAMILIES[family](n)
+        # Popped from the end, each partition is freed once it is read, so
+        # the finished shape never sits beside the whole list.
+        found.reverse()
+        while found:
+            p = found.pop()
             members = groups.setdefault((len(p.blocks), weigh(p)), [])
             members.append(tuple(index.setdefault(b, len(index)) for b in p.blocks))
         scale = lcm(*(c.denominator for _, c in groups))
@@ -381,15 +386,16 @@ def partition_sum(values, w: Word, family: str, weight: str = "one") -> Fraction
         raise ValueError(f"unknown weight {weight!r}; pick from {sorted(WEIGHTS)}")
     n = w.degree
     blocks, scale, groups = _shapes(n, family, weight)
-    letters = w.letters
+    letter = w.__getitem__
     # Every distinct block, in order of first use, before any product: a
     # missing entry raises even where another block's value is zero.
     block_values = []
     for block in blocks:
-        piece = Word(letters[i] for i in block)
+        piece = tuple(map(letter, block))
         try:
             block_values.append(values[piece])
         except KeyError:
+            piece = Word(piece)
             raise IncompleteTableError(
                 f"no table value for the word {piece!r}", word=piece
             ) from None

@@ -85,34 +85,11 @@ class InfChar:
                 f"table has entries outside the alphabet/bound: {sorted(given)[:3]}"
             )
 
-    @classmethod
-    def zero(cls, n_letters: int, max_degree: int) -> "InfChar":
-        return cls(
-            n_letters,
-            max_degree,
-            {w: Fraction(0) for w in all_words(n_letters, max_degree)},
-        )
-
     def value(self, w: Word) -> Fraction:
         return self.table[w]
 
     def as_form(self) -> InfinitesimalFromWords:
         return InfinitesimalFromWords(self.table)
-
-    def _combine(self, other: "InfChar", fn) -> "InfChar":
-        if (self.n_letters, self.max_degree) != (other.n_letters, other.max_degree):
-            raise ValueError("infinitesimal characters live on different truncations")
-        return InfChar(
-            self.n_letters,
-            self.max_degree,
-            {w: fn(self.table[w], other.table[w]) for w in self.table},
-        )
-
-    def __add__(self, other: "InfChar") -> "InfChar":
-        return self._combine(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "InfChar") -> "InfChar":
-        return self._combine(other, lambda a, b: a - b)
 
     def scale(self, c) -> "InfChar":
         c = Fraction(c)
@@ -135,20 +112,16 @@ class InfChar:
         return f"InfChar(letters={self.n_letters}, max_degree={self.max_degree})"
 
 
-def _letter_table(c: InfChar) -> dict[tuple[int, ...], Fraction]:
-    """The table keyed by letter tuples, which the kernel slices."""
-    return {w.letters: v for w, v in c.table.items()}
-
-
 def _lowest_degree(c: InfChar) -> int:
     """The lowest degree with a non-zero value; past the bound if none."""
     return min((w.degree for w, v in c.table.items() if v), default=c.max_degree + 1)
 
 
 def _triangle_at(a, b, letters: tuple[int, ...]) -> Fraction:
-    """(a > b - b < a)(w) at w = letters, from letter-keyed tables of a, b.
+    """(a > b - b < a)(w) at w = letters, from the word tables of a and b.
 
-    Reads a and b only below the degree of w (see the module docstring).
+    Reads a and b only below the degree of w (see the module docstring);
+    the letter slices look the words up directly.
     """
     n = len(letters)
     total = _ZERO
@@ -178,14 +151,11 @@ def triangle(a: InfChar, b: InfChar) -> InfChar:
     if (a.n_letters, a.max_degree) != (b.n_letters, b.max_degree):
         raise ValueError("infinitesimal characters live on different truncations")
     low = _lowest_degree(a) + _lowest_degree(b)
-    ta, tb = _letter_table(a), _letter_table(b)
+    ta, tb = a.table, b.table
     return InfChar(
         a.n_letters,
         a.max_degree,
-        {
-            w: _triangle_at(ta, tb, w.letters) if w.degree >= low else _ZERO
-            for w in a.table
-        },
+        {w: _triangle_at(ta, tb, w) if w.degree >= low else _ZERO for w in ta},
     )
 
 
@@ -219,18 +189,17 @@ def magnus(a: InfChar) -> InfChar:
     """
     d = a.max_degree
     coeffs = [bernoulli(m) / factorial(m) for m in range(d)]
-    om: dict[tuple[int, ...], Fraction] = {}
-    iterates = [_letter_table(a)] + [{} for _ in range(2, d)]  # L^0 .. L^(d-2)
+    om: dict[Word, Fraction] = {}
+    iterates = [a.table] + [{} for _ in range(2, d)]  # L^0 .. L^(d-2)
     for w in a.table:  # ascending degree
-        letters = w.letters
-        value = coeffs[0] * iterates[0][letters]
+        value = coeffs[0] * iterates[0][w]
         for m in range(1, d - 1):
             if m + 1 < w.degree:
-                v = _triangle_at(om, iterates[m - 1], letters)
+                v = _triangle_at(om, iterates[m - 1], w)
                 if coeffs[m]:
                     value += coeffs[m] * v
             else:
                 v = _ZERO
-            iterates[m][letters] = v
-        om[letters] = value
-    return InfChar(a.n_letters, d, {w: om[w.letters] for w in a.table})
+            iterates[m][w] = v
+        om[w] = value
+    return InfChar(a.n_letters, d, om)

@@ -81,7 +81,7 @@ def parse_word(text: str, generators: tuple[str, ...]) -> Word:
 
 
 def format_word(w: Word, generators: tuple[str, ...]) -> str:
-    names = [generators[i] for i in w.letters]
+    names = [generators[i] for i in w]
     joiner = "" if all(len(name) == 1 for name in generators) else "."
     return joiner.join(names)
 

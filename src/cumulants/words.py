@@ -2,7 +2,11 @@
 
 Letters are plain non-negative ints.  A Word is a finite sequence of letters;
 a BarWord w1|w2|...|wk is a sequence of non-empty words, with the empty
-sequence acting as the unit.  Everything here is immutable after construction
+sequence acting as the unit.  Both are tuples, a Word of its letters and a
+BarWord of its words, and they equal and hash like the plain tuples; only
+their order differs (degree first).  So EMPTY_WORD == UNIT == (), and a
+one-factor bar-word equals the 1-tuple of its word: keep words, bar-words
+and tuples of words in separate containers.  Everything here is immutable
 and safe to share between threads.
 
 Positions inside a word are 1-based throughout.
@@ -16,72 +20,69 @@ from collections.abc import Iterable, Iterator
 _DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
-class Word:
-    """A word a_{i1} a_{i2} ... a_{in}; degree is the letter count."""
+class _Graded(tuple):
+    """A tuple ordered by its class's `_key`, degree first, instead of
+    lexicographically.  All four comparisons read the same key, so they
+    agree with each other; equality and hashing stay the tuple's."""
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ()
 
-    def __init__(self, letters: Iterable[int] = ()):
-        self.letters = tuple(letters)
-        self._hash = hash(self.letters)
+    def __lt__(self, other) -> bool:
+        return self._key() < other._key()
+
+    def __le__(self, other) -> bool:
+        return self._key() <= other._key()
+
+    def __gt__(self, other) -> bool:
+        return self._key() > other._key()
+
+    def __ge__(self, other) -> bool:
+        return self._key() >= other._key()
+
+
+class Word(_Graded):
+    """A word a_{i1} a_{i2} ... a_{in}: the tuple of its letters.
+
+    It equals and hashes like that plain tuple, so a letter slice looks up
+    a word-keyed table directly.
+    """
+
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
-        return len(self.letters)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.letters
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return self._hash
+        return len(self)
 
     def _key(self):
-        return (len(self.letters), self.letters)
-
-    def __lt__(self, other: "Word") -> bool:
         # Degree first, then letter sequence: the canonical output order.
-        return self._key() < other._key()
+        return (len(self), tuple(self))
 
     def __repr__(self) -> str:
         return f"Word({word_str(self)})"
 
 
-class BarWord:
-    """w1|...|wk, a sequence of non-empty words.
+class BarWord(_Graded):
+    """w1|...|wk, the tuple of its non-empty words.
 
     Empty factors are dropped on construction, so w1|1|w2 and w1|w2 denote
     the same value; the empty factor sequence is the algebra unit.
     """
 
-    __slots__ = ("factors", "degree", "_hash")
+    __slots__ = ()
 
-    def __init__(self, factors: Iterable[Word] = ()):
-        self.factors = tuple(w for w in factors if w.letters)
-        self.degree = sum(len(w) for w in self.factors)
-        self._hash = hash(self.factors)
+    def __new__(cls, factors: Iterable[Word] = ()):
+        return super().__new__(cls, [w for w in factors if w])
+
+    @property
+    def degree(self) -> int:
+        return sum(map(len, self))
 
     @property
     def is_unit(self) -> bool:
-        return not self.factors
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BarWord) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return self._hash
+        return not self
 
     def _key(self):
-        return (self.degree, len(self.factors), tuple(w._key() for w in self.factors))
-
-    def __lt__(self, other: "BarWord") -> bool:
-        return self._key() < other._key()
+        return (self.degree, len(self), tuple(w._key() for w in self))
 
     def __repr__(self) -> str:
         return f"BarWord({barword_str(self)})"
@@ -98,7 +99,8 @@ def lift(w: Word) -> BarWord:
 
 def bar_concat(a: BarWord, b: BarWord) -> BarWord:
     """Concatenation of factor sequences, the product of the bar algebra."""
-    return BarWord(a.factors + b.factors)
+    # Neither side holds an empty factor, so there is nothing to drop.
+    return tuple.__new__(BarWord, a + b)
 
 
 def subword(w: Word, positions: Iterable[int]) -> Word:
@@ -107,10 +109,10 @@ def subword(w: Word, positions: Iterable[int]) -> Word:
     Duplicate positions collapse; an empty position set gives the empty word.
     """
     taken = sorted(set(positions))
-    n = len(w.letters)
+    n = len(w)
     if taken and not (1 <= taken[0] and taken[-1] <= n):
         raise ValueError(f"positions {taken} out of range for a degree-{n} word")
-    return Word(w.letters[p - 1] for p in taken)
+    return Word(w[p - 1] for p in taken)
 
 
 def complement_components(w: Word, positions: Iterable[int]) -> BarWord:
@@ -120,7 +122,7 @@ def complement_components(w: Word, positions: Iterable[int]) -> BarWord:
     maximal integer intervals; each becomes one factor, in increasing order.
     """
     taken = set(positions)
-    n = len(w.letters)
+    n = len(w)
     if taken and not all(1 <= p <= n for p in taken):
         raise ValueError(f"positions {sorted(taken)} out of range for a degree-{n} word")
     runs: list[Word] = []
@@ -131,7 +133,7 @@ def complement_components(w: Word, positions: Iterable[int]) -> BarWord:
                 runs.append(Word(current))
                 current = []
         else:
-            current.append(w.letters[p - 1])
+            current.append(w[p - 1])
     if current:
         runs.append(Word(current))
     return BarWord(runs)
@@ -176,13 +178,11 @@ def all_barwords(
 def word_str(w: Word, names: Iterable[str] = _DEFAULT_NAMES) -> str:
     """Human-readable form of a word; the empty word prints as 1."""
     names = tuple(names)
-    if w.is_empty:
+    if not w:
         return "1"
-    if all(i < len(names) for i in w.letters) and all(len(n) == 1 for n in names):
-        return "".join(names[i] for i in w.letters)
-    return ".".join(
-        names[i] if i < len(names) else f"<{i}>" for i in w.letters
-    )
+    if all(i < len(names) for i in w) and all(len(n) == 1 for n in names):
+        return "".join(names[i] for i in w)
+    return ".".join(names[i] if i < len(names) else f"<{i}>" for i in w)
 
 
 def barword_str(u: BarWord, names: Iterable[str] = _DEFAULT_NAMES) -> str:
@@ -190,4 +190,4 @@ def barword_str(u: BarWord, names: Iterable[str] = _DEFAULT_NAMES) -> str:
     if u.is_unit:
         return "1"
     names = tuple(names)
-    return "|".join(word_str(w, names) for w in u.factors)
+    return "|".join(word_str(w, names) for w in u)

@@ -141,12 +141,11 @@ def oracle_partition_sum(values, w, family):
         "irr-nc": enumerate_irreducible_nc,
         "interval": enumerate_interval,
     }
-    letters = w.letters
     total = F(0)
     for p in families[family](w.degree):
         term = F(1)
         for block in p.blocks:
-            term *= values[Word(tuple(letters[i - 1] for i in block))]
+            term *= values[Word(tuple(w[i - 1] for i in block))]
         total += term
     return total
 
@@ -188,14 +187,13 @@ def test_criterion_4_monotone_three_expressions():
         rho = random_table("monotone", n_letters, degree, seed=47)
         phi = forms.exp_star(forms.InfinitesimalFromWords(rho.values))
         for w in all_words(n_letters, degree):
-            letters = w.letters
             by_tau = F(0)
             by_labelling = F(0)
             for p in enumerate_nc(w.degree):
                 product = F(1)
                 for block in p.blocks:
                     product *= rho.values[
-                        Word(tuple(letters[i - 1] for i in block))
+                        Word(tuple(w[i - 1] for i in block))
                     ]
                 by_tau += F(1, tree_factorial(p)) * product
                 by_labelling += (
@@ -220,13 +218,12 @@ def test_criterion_5_conversion_formulas():
             table = random_table(source, n_letters, 5, seed=53)
             got = convert(table, target)
             for w in all_words(n_letters, 5):
-                letters = w.letters
                 expected = F(0)
                 for p in enumerate_irreducible_nc(w.degree):
                     product = weight(p)
                     for block in p.blocks:
                         product *= table.values[
-                            Word(tuple(letters[i - 1] for i in block))
+                            Word(tuple(w[i - 1] for i in block))
                         ]
                     expected += product
                 assert got.values[w] == expected
@@ -237,8 +234,8 @@ def test_criterion_5_conversion_formulas():
     mono = random_table("monotone", 2, 3, seed=61)
     free_from_mono = convert(mono, "free")
     for w in all_words(2, 3, min_degree=3):
-        outer = Word((w.letters[0], w.letters[2]))
-        inner = Word((w.letters[1],))
+        outer = Word((w[0], w[2]))
+        inner = Word((w[1],))
         assert boolean.values[w] == free.values[w] + free.values[outer] * free.values[inner]
         assert (
             free_from_mono.values[w]

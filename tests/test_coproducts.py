@@ -70,7 +70,7 @@ def test_coproduct_is_multiplicative_over_bars():
     # full coproduct of every later factor, from left to right
     for split_first in (coproduct, coproduct_left, coproduct_right):
         for u in all_barwords(2, 4):
-            first, *rest = u.factors
+            first, *rest = u
             expect = split_first(lift(first))
             for w in rest:
                 expect = split_product(expect, coproduct(lift(w)))
@@ -91,19 +91,19 @@ def test_half_coproducts_reject_the_unit():
 
 def test_left_half_always_keeps_first_letter():
     for u in all_barwords(2, 4):
-        first = u.factors[0].letters[0]
+        first = u[0][0]
         for (x, y), _ in coproduct_left(u).items():
             assert not x.is_unit
-            assert x.factors[0].letters[0] == first
+            assert x[0][0] == first
 
 
 def test_right_half_never_extracts_first_letter():
     for u in all_barwords(2, 4):
-        first_factor = u.factors[0]
+        first_factor = u[0]
         for (x, y), _ in coproduct_right(u).items():
             assert not y.is_unit
             # the first factor's leading letter stays on the right leg
-            assert y.factors[0].letters[0] == first_factor.letters[0]
+            assert y[0][0] == first_factor[0]
 
 
 def test_reduced_variants_drop_unit_legs():

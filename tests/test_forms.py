@@ -115,7 +115,7 @@ def test_exponentials_are_characters(kappa):
         phi = build(kappa)
         for u in all_barwords(1, 4, include_unit=True):
             product = F(1)
-            for w in u.factors:
+            for w in u:
                 product *= phi.eval(lift(w))
             assert phi.eval(u) == product
 

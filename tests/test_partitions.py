@@ -433,8 +433,9 @@ def test_a_key_is_enumerated_and_weighed_once(family, weight, monkeypatch):
     enumerated, weighed = [], []
 
     def counted_family(n):
-        enumerated.append(enumerate_family(n))
-        return enumerated[-1]
+        found = enumerate_family(n)
+        enumerated.append(list(found))  # _shapes empties the list it reads
+        return found
 
     def counted_weight(p):
         weighed.append(p)

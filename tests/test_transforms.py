@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cumulants import prelie, transforms
+from cumulants import forms, prelie, transforms
 from cumulants.errors import IncompleteTableError, RouteDisagreementError
 from cumulants.transforms import (
     CumulantTable,
@@ -13,7 +13,6 @@ from cumulants.transforms import (
     cumulants_to_moments,
     default_max_degree,
     moments_to_cumulants,
-    moments_to_cumulants_via_forms,
     random_table,
     verify_suite,
 )
@@ -24,6 +23,15 @@ def univariate_moments(values):
     degree = len(values)
     table = {Word((0,) * n): F(v) for n, v in zip(range(1, degree + 1), values)}
     return CumulantTable("moment", 1, degree, table)
+
+
+def moments_to_cumulants_via_forms(m, target):
+    """moments_to_cumulants through the closed-form logarithm forms: free and
+    boolean by the antipode series instead of the fixed-point recursions."""
+    log = {"free": forms.log_left, "boolean": forms.log_right, "monotone": forms.log_star}
+    form = log[target](forms.CharacterFromWords(m.values))
+    values = {w: form.eval_word(w) for w in all_words(m.n_letters, m.max_degree)}
+    return CumulantTable(target, m.generators, m.max_degree, values)
 
 
 SEMICIRCLE = univariate_moments((0, 1, 0, 2, 0, 5))
@@ -131,8 +139,8 @@ def test_degree_three_conversion_identities_two_letters():
     mono = random_table("monotone", 2, 3, seed=19)
     free_from_mono = convert(mono, "free")
     for w in all_words(2, 3, min_degree=3):
-        y = Word((w.letters[1],))
-        xz = Word((w.letters[0], w.letters[2]))
+        y = Word((w[1],))
+        xz = Word((w[0], w[2]))
         assert boolean.values[w] == free.values[w] + free.values[xz] * free.values[y]
         assert (
             free_from_mono.values[w]
@@ -194,6 +202,42 @@ def test_conversion_route_disagreement_is_detected(monkeypatch):
     monkeypatch.setattr(transforms.partitions, "partition_sum", skewed)
     with pytest.raises(RouteDisagreementError):
         convert(c, "boolean")
+
+
+@pytest.mark.parametrize("source", ["free", "boolean"])
+def test_monotone_targets_are_checked_against_partition_moments(source, monkeypatch):
+    # No direct lattice formula gives monotone cumulants, so the result's
+    # moments on the partition route (nc, 1/tau!) meet the input's moments.
+    c = random_table(source, 1, 3, seed=37)
+    real = transforms.partitions.partition_sum
+
+    def skewed(values, w, family, weight="one"):
+        out = real(values, w, family, weight)
+        if (family, weight) == ("nc", "inv_tau") and w.degree == 3:
+            return out + 1
+        return out
+
+    monkeypatch.setattr(transforms.partitions, "partition_sum", skewed)
+    with pytest.raises(RouteDisagreementError, match="moments") as info:
+        convert(c, "monotone")
+    assert info.value.word == Word((0, 0, 0))
+
+
+@pytest.mark.parametrize("source", ["free", "boolean"])
+def test_a_wrong_monotone_result_is_caught_at_its_first_wrong_word(source, monkeypatch):
+    c = random_table(source, 2, 4, seed=41)
+    wrong = Word((1, 0))
+    real = transforms._CONVERSIONS[(source, "monotone")]
+
+    def broken(a):
+        out = real(a)
+        out.table[wrong] += F(1, 5)
+        return out
+
+    monkeypatch.setitem(transforms._CONVERSIONS, (source, "monotone"), broken)
+    with pytest.raises(RouteDisagreementError, match="moments") as info:
+        convert(c, "monotone")
+    assert info.value.word == wrong
 
 
 def test_verify_suite_passes_on_several_seeds():

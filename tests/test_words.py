@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cumulants.words import (
     EMPTY_WORD,
@@ -19,7 +21,7 @@ from cumulants.words import (
 def test_word_basics():
     w = Word((0, 1, 0))
     assert w.degree == 3
-    assert w.letters == (0, 1, 0)
+    assert w == (0, 1, 0)
     assert Word(()) == EMPTY_WORD
     assert EMPTY_WORD.degree == 0
 
@@ -30,11 +32,14 @@ def test_word_ordering_is_degree_then_lex():
     assert Word((0, 1)) < Word((1, 0))
     ws = sorted([Word((1, 0)), Word((0,)), Word((0, 0)), Word((1,))])
     assert ws == [Word((0,)), Word((1,)), Word((0, 0)), Word((1, 0))]
+    # the reflected comparisons are degree first too, not the tuple's order
+    assert Word((0, 0)) > Word((1,)) and Word((0, 0)) >= Word((1,))
+    assert max([Word((1,)), Word((0, 0))]) == Word((0, 0))
 
 
 def test_barword_drops_empty_factors():
     u = BarWord((Word((0,)), EMPTY_WORD, Word((1, 1))))
-    assert u.factors == (Word((0,)), Word((1, 1)))
+    assert u == (Word((0,)), Word((1, 1)))
     assert u.degree == 3
     assert BarWord((EMPTY_WORD, EMPTY_WORD)) == UNIT
     assert UNIT.is_unit and not u.is_unit
@@ -90,3 +95,61 @@ def test_display_forms():
     assert barword_str(BarWord((Word((0,)), Word((1, 1))))) == "a|bb"
     assert barword_str(UNIT) == "1"
     assert word_str(Word((0, 1)), names=("x1", "x2")) == "x1.x2"
+
+
+# derandomize keeps the examples the same from run to run.
+_PROPERTY = settings(derandomize=True, database=None, max_examples=60)
+
+words = st.lists(st.integers(0, 2), max_size=4).map(Word)
+barwords = st.lists(words, max_size=4).map(BarWord)
+
+
+def degree_first(u):
+    """The canonical order, written out: degree, then the factor count and
+    the factors of a bar-word, or the letters of a word."""
+    if isinstance(u, BarWord):
+        return (u.degree, len(u), tuple(degree_first(w) for w in u))
+    return (len(u), tuple(u))
+
+
+@_PROPERTY
+@given(st.lists(words, min_size=1, max_size=8) | st.lists(barwords, min_size=1, max_size=8))
+def test_every_comparison_follows_the_degree_first_order(items):
+    for a in items:
+        for b in items:
+            ka, kb = degree_first(a), degree_first(b)
+            assert (a < b, a > b, a <= b, a >= b) == (ka < kb, ka > kb, ka <= kb, ka >= kb)
+    assert sorted(items) == sorted(items, key=degree_first)
+    assert min(items) == min(items, key=degree_first)
+    assert max(items) == max(items, key=degree_first)
+
+
+@_PROPERTY
+@given(words, barwords)
+def test_equality_and_hash_are_the_plain_tuples(w, u):
+    assert w == tuple(w) and hash(w) == hash(tuple(w))
+    plain = tuple(tuple(x) for x in u)
+    assert u == plain and hash(u) == hash(plain)
+    assert {w: 1}[tuple(w)] == 1
+
+
+@_PROPERTY
+@given(st.lists(words, max_size=6))
+def test_empty_factors_are_dropped(ws):
+    u = BarWord(ws)
+    assert u == BarWord(w for w in ws if w)
+    assert EMPTY_WORD not in u
+    assert u.degree == sum(w.degree for w in ws)
+    assert u.is_unit == (u == UNIT)
+
+
+@_PROPERTY
+@given(words.filter(len))
+def test_a_lifted_word_is_not_the_word(w):
+    assert lift(w) != w
+    assert lift(w) == (w,)
+
+
+def test_the_empty_word_the_unit_and_the_empty_tuple_are_equal():
+    # which is why words and bar-words never share a container
+    assert EMPTY_WORD == UNIT == () == lift(EMPTY_WORD)
