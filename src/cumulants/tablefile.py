@@ -92,6 +92,8 @@ def parse_table(text: str) -> CumulantTable:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TableFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise TableFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise TableFormatError("the top level must be a JSON object")
     unknown = sorted(set(doc) - set(_TOP_KEYS))

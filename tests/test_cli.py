@@ -109,6 +109,17 @@ def test_convert_malformed_json(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[" * 100000, '{"a":' * 50000])
+def test_convert_deeply_nested_json(text, tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["convert", "-i", str(path), "--to", "free"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: not valid JSON: nested too deeply\n"
+
+
 def test_convert_incomplete_table(tmp_path, capsys):
     doc = json.loads(SEMI)
     del doc["values"]["aaa"]

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cumulants import forms, prelie, transforms
+from cumulants import cli, forms, prelie, transforms
 from cumulants.errors import IncompleteTableError, RouteDisagreementError
 from cumulants.transforms import (
     CumulantTable,
@@ -280,3 +280,188 @@ def test_verify_suite_rejects_out_of_range_requests():
         verify_suite(9, 1)
     with pytest.raises(ValueError):
         verify_suite(3, 5)
+
+
+def _skew(pair):
+    """Fault: partition_sum off by one for one (family, weight) at degree 3."""
+
+    def inject(monkeypatch):
+        real = transforms.partitions.partition_sum
+
+        def skewed(values, w, family, weight="one"):
+            out = real(values, w, family, weight)
+            return out + 1 if (family, weight) == pair and w.degree == 3 else out
+
+        monkeypatch.setattr(transforms.partitions, "partition_sum", skewed)
+
+    return inject
+
+
+def _wrap(module, name, fault):
+    def inject(monkeypatch):
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+
+    return inject
+
+
+FAULTS = {
+    "wrong-B1": _wrap(
+        prelie, "bernoulli", lambda real: lambda m: F(-1, 3) if m == 1 else real(m)
+    ),
+    "nc-labelling": _skew(("nc", "labelling")),
+    "irr-nc-sign": _skew(("irr-nc", "sign")),
+    "irr-nc-inv_tau": _skew(("irr-nc", "inv_tau")),
+    "nc-one": _skew(("nc", "one")),
+    "triangle-at-3": _wrap(
+        prelie,
+        "_triangle_at",
+        lambda real: lambda a, b, w: real(a, b, w) + (1 if len(w) == 3 else 0),
+    ),
+    "half-left-swapped": _wrap(
+        forms, "half_left", lambda real: lambda f, g: real(g, f)
+    ),
+}
+
+CHECKS = (
+    "coassociativity counit half-splitting unshuffle-C1 unshuffle-C2 unshuffle-C3 "
+    "monotone-factorisation monotone-bijection shuffle-A1 shuffle-A2 shuffle-A3 "
+    "conv-half-splitting character-convolution character-inverse exp-left-fixed-point "
+    "exp-right-fixed-point exp-characters log-star-infinitesimal shuffle-inverse "
+    "log-exp-left log-exp-right log-exp-star prelie-closure prelie-identity "
+    "magnus-w-inverse magnus-fixed-point interchange route-free route-boolean "
+    "route-monotone convert-boolean-free convert-free-boolean convert-monotone-boolean "
+    "convert-monotone-free roundtrip-free roundtrip-boolean roundtrip-monotone "
+    "parity-univariate"
+).split()
+
+# Moments reach monotone cumulants through Magnus, so a fault in the
+# Bernoulli numbers also fails the monotone round trip, and one in the pre-Lie
+# product the parity check as well.
+MAGNUS_ROUNDTRIP = {
+    "roundtrip-monotone": "cumulants -> moments -> cumulants is not the identity"
+}
+
+# The failing checks of verify_suite(degree, generators, seed=1) under each
+# fault, with their details; every other check passes.
+FAILED = {
+    ("wrong-B1", 3, 1): {
+        "route-free": "at aaa: 43/72 != 5/8",
+        "route-boolean": "at aaa: -28/3 != -9",
+        "convert-boolean-free": "at aaa: 14/3 != 5",
+        "convert-free-boolean": "at aaa: 5/36 != 1/6",
+        **MAGNUS_ROUNDTRIP,
+    },
+    ("wrong-B1", 4, 2): {
+        "magnus-w-inverse": "w(magnus(a)) != a",
+        "magnus-fixed-point": "at aaa: 122/3 != 128/3",
+        "route-free": "at aaa: 337/3 != 115",
+        "route-boolean": "at aaa: -1/3 != -1/4",
+        "convert-boolean-free": "at aaa: 1/6 != 1/4",
+        "convert-free-boolean": "at aaa: 49/3 != 19",
+        **MAGNUS_ROUNDTRIP,
+    },
+    ("nc-labelling", 3, 1): {"route-monotone": "at aaa: 34/3 != 37/3"},
+    ("nc-labelling", 4, 2): {"route-monotone": "at aaa: -161 != -160"},
+    ("irr-nc-sign", 3, 1): {"convert-boolean-free": "at aaa: 5 != 6"},
+    ("irr-nc-sign", 4, 2): {"convert-boolean-free": "at aaa: 1/4 != 5/4"},
+    ("irr-nc-inv_tau", 3, 1): {"convert-monotone-boolean": "at aaa: -2/3 != 1/3"},
+    ("irr-nc-inv_tau", 4, 2): {"convert-monotone-boolean": "at aaa: 7 != 8"},
+    # A disagreement inside a round trip is that check's failure.
+    ("nc-one", 3, 1): {
+        "route-free": "at aaa: 5/8 != 13/8",
+        "roundtrip-free": "free moments disagree at 'aaa': "
+        "shuffle route 5/8, partition route 13/8",
+    },
+    ("nc-one", 4, 2): {
+        "route-free": "at aaa: 115 != 116",
+        "roundtrip-free": "free moments disagree at 'aaa': "
+        "shuffle route 115, partition route 116",
+    },
+    ("triangle-at-3", 3, 1): {
+        "magnus-w-inverse": "w(magnus(a)) != a",
+        "magnus-fixed-point": "at aaa: 1 != 3/2",
+        "route-free": "at aaa: 1/8 != 5/8",
+        "route-boolean": "at aaa: -17/2 != -9",
+        "convert-boolean-free": "at aaa: 6 != 5",
+        "convert-free-boolean": "at aaa: -5/6 != 1/6",
+        "convert-monotone-boolean": "at aaa: -7/6 != -2/3",
+        "convert-monotone-free": "at aaa: -13/6 != -8/3",
+        **MAGNUS_ROUNDTRIP,
+        "parity-univariate": "monotone cumulant at aaa is non-zero",
+    },
+    ("triangle-at-3", 4, 2): {
+        "magnus-fixed-point": "at aaa: 253/6 != 128/3",
+        "interchange": "at aaa: 223/6 != 110/3",
+        "route-free": "at aaa: 229/2 != 115",
+        "route-boolean": "at aaa: 1/4 != -1/4",
+        "convert-boolean-free": "at aaa: 5/4 != 1/4",
+        "convert-free-boolean": "at aaa: 18 != 19",
+        "convert-monotone-boolean": "at aaa: 13/2 != 7",
+        "convert-monotone-free": "at aaa: -33/2 != -17",
+        **MAGNUS_ROUNDTRIP,
+        "parity-univariate": "monotone cumulant at aaa is non-zero",
+    },
+    ("half-left-swapped", 3, 1): {
+        "shuffle-A1": "at aaa: 3/2 != 6",
+        "shuffle-A2": "at aaa: 3/2 != 3",
+        "conv-half-splitting": "at a: -7 != -12",
+        "exp-left-fixed-point": "at aa: 1 != 0",
+        "prelie-closure": "at a|aa",
+    },
+    ("half-left-swapped", 4, 2): {
+        "shuffle-A1": "at aaa: 4 != 16",
+        "shuffle-A2": "at aaa: 4 != 8",
+        "conv-half-splitting": "at a: 2 != -1",
+        "exp-left-fixed-point": "at a: 3 != 0",
+        "prelie-closure": "at a|b",
+        "prelie-identity": "at aba: 26/3 != 9/2",
+    },
+}
+
+
+@pytest.mark.parametrize("fault,degree,generators", sorted(FAILED))
+def test_verify_report_under_an_injected_fault(fault, degree, generators, monkeypatch):
+    FAULTS[fault](monkeypatch)
+    failed = FAILED[(fault, degree, generators)]
+    assert verify_suite(degree, generators).to_dict() == {
+        "max_degree": degree,
+        "generators": generators,
+        "seed": 1,
+        "ok": False,
+        "results": [
+            {"name": n, "passed": n not in failed, "detail": failed.get(n, "")}
+            for n in CHECKS
+        ],
+    }
+
+
+def test_a_round_trip_disagreement_prints_the_whole_report(monkeypatch, capsys):
+    FAULTS["nc-one"](monkeypatch)
+    assert cli.main(["verify", "--degree", "3", "--generators", "1"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 2 + len(CHECKS)
+    assert (
+        "FAIL roundtrip-free: free moments disagree at 'aaa': "
+        "shuffle route 5/8, partition route 13/8"
+    ) in lines
+    assert lines[-1] == f"identities: {len(CHECKS) - 2} passed, 2 failed"
+    assert captured.err == ""
+
+
+def test_moments_reach_monotone_cumulants_through_magnus(monkeypatch):
+    m = random_table("moment", 2, 4, seed=43)
+    free = moments_to_cumulants(m, "free")
+    by_log_star = moments_to_cumulants_via_forms(m, "monotone")
+    seen = []
+    real = transforms._CONVERSIONS[("free", "monotone")]
+
+    def spy(a):
+        seen.append(a.table)
+        return real(a)
+
+    monkeypatch.setitem(transforms._CONVERSIONS, ("free", "monotone"), spy)
+    monkeypatch.setattr(forms, "log_star", None)
+    monotone = moments_to_cumulants(m, "monotone")
+    assert seen == [free.values]
+    assert monotone.values == by_log_star.values
