@@ -13,12 +13,20 @@ Conventions, with e the counit (1 on the unit bar-word, else 0):
     coproducts, which realizes  f < e = f  and  e > f = f  termwise
     (on the unit the halves evaluate to f(1) resp. g(1) when the other
     operand is literally the counit node, else to 0; never an error);
-  * exp/log variants are finite sums at every input because their base
-    forms vanish on the unit, so no truncation parameter appears here.
+  * the half-shuffle exponentials and the convolution inverse are their
+    defining fixed-point equations, evaluated through Conv:
+        exp_left(a)      X = e + a < X,
+        exp_right(a)     Z = e + Z > a,
+        char_inverse(f)  psi = e - (f - e) * psi;
+    each right-hand side reads the solution only below the degree of its
+    input, so the recursion stops at the unit;
+  * exp_star and log_star are power series in a base form vanishing on the
+    unit, finite sums at every input, so no truncation parameter appears.
 
-Preconditions are checked at construction: the exponentials require an
-infinitesimal operand (vanishing on the unit), the logarithms and the
-antipode-style inverse require a unital one (value 1 on the unit).
+`Conv._eval` is the one loop over a coproduct here.  Preconditions are
+checked at construction: the exponentials require an infinitesimal operand
+(vanishing on the unit), the logarithms and the inverse require a unital
+one (value 1 on the unit).
 """
 
 from __future__ import annotations
@@ -149,19 +157,6 @@ class Scale(Form):
         return self.c * self.f.eval(u)
 
 
-class ComposeP(Form):
-    """f composed with the kill-the-unit projector: 0 on the unit, else f."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f: Form):
-        super().__init__()
-        self.f = f
-
-    def _eval(self, u):
-        return _ZERO if u.is_unit else self.f.eval(u)
-
-
 CONV = "conv"
 LEFT = "left"
 RIGHT = "right"
@@ -258,112 +253,65 @@ class _PowerSeries(Form):
         return total
 
 
-class ExpStar(_PowerSeries):
-    """Convolution exponential of an infinitesimal form."""
+class _FixedPoint(Form):
+    """The form X with X = e + step(X): 1 on the unit, step(X) elsewhere.
 
-    __slots__ = ()
+    step(X) must vanish on the unit and read X only below the degree of its
+    input, so evaluation recurses down to the unit and stops there.
+    """
 
-    def __init__(self, alpha: Form):
-        _require_infinitesimal(alpha, "exp_star")
-        super().__init__(alpha, lambda j: Fraction(1, factorial(j)))
+    __slots__ = ("_step",)
 
-
-class LogStar(_PowerSeries):
-    """Convolution logarithm of a unital form."""
-
-    __slots__ = ()
-
-    def __init__(self, phi: Form):
-        _require_unital(phi, "log_star")
-        super().__init__(
-            ComposeP(phi),
-            lambda j: _ZERO if j == 0 else Fraction((-1) ** (j - 1), j),
-        )
-
-
-class CharInverse(_PowerSeries):
-    """Convolution inverse of a unital form, as the geometric antipode series."""
-
-    __slots__ = ()
-
-    def __init__(self, phi: Form):
-        _require_unital(phi, "char_inverse")
-        super().__init__(ComposeP(phi), lambda j: Fraction((-1) ** j))
-
-
-class ExpLeft(Form):
-    """The unique X with X = e + alpha < X, for infinitesimal alpha."""
-
-    __slots__ = ("alpha",)
-
-    def __init__(self, alpha: Form):
-        _require_infinitesimal(alpha, "exp_left")
+    def __init__(self, step):
         super().__init__()
-        self.alpha = alpha
+        self._step = step(self)
 
     def _eval(self, u):
-        if u.is_unit:
-            return _ONE
-        alpha = self.alpha
-        total = _ZERO
-        # Left legs carry position 1, so right legs always drop in degree
-        # and the recursion bottoms out at the unit.
-        for (x, y), c in coproduct_left(u).items():
-            ax = alpha.eval(x)
-            if ax:
-                total += c * ax * self.eval(y)
-        return total
-
-
-class ExpRight(Form):
-    """The unique Z with Z = e + Z > alpha, for infinitesimal alpha."""
-
-    __slots__ = ("alpha",)
-
-    def __init__(self, alpha: Form):
-        _require_infinitesimal(alpha, "exp_right")
-        super().__init__()
-        self.alpha = alpha
-
-    def _eval(self, u):
-        if u.is_unit:
-            return _ONE
-        alpha = self.alpha
-        total = _ZERO
-        # Right legs carry position 1 on the complement side, so left legs
-        # always drop in degree.
-        for (x, y), c in coproduct_right(u).items():
-            ay = alpha.eval(y)
-            if ay:
-                total += c * self.eval(x) * ay
-        return total
+        return _ONE if u.is_unit else self._step.eval(u)
 
 
 def exp_star(alpha: Form) -> Form:
-    return ExpStar(alpha)
+    """Convolution exponential of an infinitesimal form."""
+    _require_infinitesimal(alpha, "exp_star")
+    return _PowerSeries(alpha, lambda j: Fraction(1, factorial(j)))
 
 
 def log_star(phi: Form) -> Form:
-    return LogStar(phi)
+    """Convolution logarithm of a unital form."""
+    _require_unital(phi, "log_star")
+    return _PowerSeries(
+        phi - COUNIT, lambda j: _ZERO if j == 0 else Fraction((-1) ** (j - 1), j)
+    )
 
 
 def char_inverse(phi: Form) -> Form:
-    return CharInverse(phi)
+    """Convolution inverse of a unital form: psi = e - (phi - e) * psi."""
+    _require_unital(phi, "char_inverse")
+    # phi - e vanishes on the unit, so only the terms whose left leg is not
+    # the unit count, and their right legs read psi below the input's degree.
+    return _FixedPoint(lambda psi: -Conv(CONV, phi - COUNIT, psi))
 
 
 def exp_left(alpha: Form) -> Form:
-    return ExpLeft(alpha)
+    """The unique X with X = e + alpha < X, for infinitesimal alpha."""
+    _require_infinitesimal(alpha, "exp_left")
+    # Left legs carry position 1, so right legs always drop in degree.
+    return _FixedPoint(lambda x: Conv(LEFT, alpha, x))
 
 
 def exp_right(alpha: Form) -> Form:
-    return ExpRight(alpha)
+    """The unique Z with Z = e + Z > alpha, for infinitesimal alpha."""
+    _require_infinitesimal(alpha, "exp_right")
+    # Right legs carry position 1 on the complement side, so left legs
+    # always drop in degree.
+    return _FixedPoint(lambda z: Conv(RIGHT, z, alpha))
 
 
 def log_left(phi: Form) -> Form:
     """The fixed-point logarithm for the left half: (phi - e) < phi^{-1}."""
-    return Conv(LEFT, Add(phi, Scale(Fraction(-1), COUNIT)), CharInverse(phi))
+    return Conv(LEFT, phi - COUNIT, char_inverse(phi))
 
 
 def log_right(phi: Form) -> Form:
     """The fixed-point logarithm for the right half: phi^{-1} > (phi - e)."""
-    return Conv(RIGHT, CharInverse(phi), Add(phi, Scale(Fraction(-1), COUNIT)))
+    return Conv(RIGHT, char_inverse(phi), phi - COUNIT)

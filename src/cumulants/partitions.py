@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import factorial, lcm, prod
 
 from .errors import IncompleteTableError
@@ -312,9 +313,25 @@ def _weight_sign_inv_tau(p: SetPartition) -> Fraction:
 
 
 def _weight_labelling(p: SetPartition) -> Fraction:
-    # Counts extensions directly so the tau-factorial route stays independent.
-    count = sum(1 for _ in linear_extensions(p))
-    return Fraction(count, factorial(p.num_blocks))
+    # Counts the outer-first block orders directly, not by the hook formula,
+    # so the tau-factorial route stays independent: orders(placed) is the
+    # number of ways to place the blocks outside the bitmask `placed`, and a
+    # block may be placed once its parent is.
+    parents = _forest(p)
+    k = len(parents)
+    full = (1 << k) - 1
+
+    @cache
+    def orders(placed: int) -> int:
+        if placed == full:
+            return 1
+        return sum(
+            orders(placed | 1 << i)
+            for i, parent in enumerate(parents)
+            if not placed >> i & 1 and (parent < 0 or placed >> parent & 1)
+        )
+
+    return Fraction(orders(0), factorial(k))
 
 
 WEIGHTS = {

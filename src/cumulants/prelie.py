@@ -37,9 +37,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import IncompleteTableError
 from .forms import InfinitesimalFromWords
-from .words import Word, all_words
+from .words import Word, total_table
 
 _ZERO = Fraction(0)
 
@@ -71,19 +70,12 @@ class InfChar:
             raise ValueError("the degree bound must be at least 1")
         self.n_letters = n_letters
         self.max_degree = max_degree
-        given = dict(table)
-        self.table = {}
-        for w in all_words(n_letters, max_degree):
-            try:
-                self.table[w] = Fraction(given.pop(w))
-            except KeyError:
-                raise IncompleteTableError(
-                    f"infinitesimal character table is missing {w!r}", word=w
-                ) from None
-        if given:
-            raise ValueError(
-                f"table has entries outside the alphabet/bound: {sorted(given)[:3]}"
-            )
+        self.table = total_table(
+            table,
+            n_letters,
+            max_degree,
+            lambda w: f"infinitesimal character table is missing {w!r}",
+        )
 
     def value(self, w: Word) -> Fraction:
         return self.table[w]

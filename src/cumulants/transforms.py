@@ -43,6 +43,7 @@ from .words import (
     all_words,
     barword_str,
     lift,
+    total_table,
     word_str,
 )
 
@@ -51,7 +52,7 @@ CUMULANT_KINDS = KINDS[1:]
 
 DEFAULT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 
-CONVERT_DEGREE_CAP = 12
+CONVERT_DEGREE_CAP = partitions.MAX_N
 VERIFY_DEGREE_CAP = 8
 VERIFY_LETTERS_CAP = 4
 
@@ -93,20 +94,13 @@ class CumulantTable:
         self.kind = kind
         self.generators = _as_generators(generators)
         self.max_degree = max_degree
-        given = dict(values)
-        self.values: dict[Word, Fraction] = {}
-        for w in all_words(len(self.generators), max_degree):
-            try:
-                self.values[w] = Fraction(given.pop(w))
-            except KeyError:
-                raise IncompleteTableError(
-                    f"table is missing the word {word_str(w, self.generators)!r} "
-                    f"(tables must be total up to degree {max_degree})",
-                    word=w,
-                ) from None
-        if given:
-            bad = sorted(given)[0]
-            raise ValueError(f"table entry {bad!r} is outside the alphabet or bound")
+        self.values = total_table(
+            values,
+            len(self.generators),
+            max_degree,
+            lambda w: f"table is missing the word {word_str(w, self.generators)!r} "
+            f"(tables must be total up to degree {max_degree})",
+        )
 
     @property
     def n_letters(self) -> int:
@@ -162,9 +156,9 @@ def _infchar(table: CumulantTable) -> prelie.InfChar:
 
 
 def _check_degree_cap(c: CumulantTable) -> None:
-    # The partition route enumerates at most partitions.MAX_N points, the
-    # same bound; refuse before the shuffle route, or a moment solver,
-    # spends time on more.
+    # The partition route enumerates at most partitions.MAX_N points;
+    # refuse before the shuffle route, or a moment solver, spends time on
+    # more.
     if c.max_degree > CONVERT_DEGREE_CAP:
         raise ValueError(f"degree {c.max_degree} exceeds the cap {CONVERT_DEGREE_CAP}")
 

@@ -15,7 +15,10 @@ Positions inside a word are 1-based throughout.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from fractions import Fraction
+
+from .errors import IncompleteTableError
 
 _DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -146,6 +149,29 @@ def all_words(n_letters: int, max_degree: int, min_degree: int = 1) -> Iterator[
     for degree in range(min_degree, max_degree + 1):
         for letters in itertools.product(range(n_letters), repeat=degree):
             yield Word(letters)
+
+
+def total_table(
+    values, n_letters: int, max_degree: int, missing: Callable[[Word], str]
+) -> dict[Word, Fraction]:
+    """`values` as Fractions on every word up to the bound, and on no other key.
+
+    The first absent word, in degree order, raises IncompleteTableError with
+    the message missing(word).  Any other key raises ValueError naming one
+    of them: the least when all are Words, else the first given.
+    """
+    given = dict(values)
+    table: dict[Word, Fraction] = {}
+    for w in all_words(n_letters, max_degree):
+        try:
+            table[w] = Fraction(given.pop(w))
+        except KeyError:
+            raise IncompleteTableError(missing(w), word=w) from None
+    if given:
+        stray = list(given)
+        bad = min(stray) if all(isinstance(k, Word) for k in stray) else stray[0]
+        raise ValueError(f"table entry {bad!r} is outside the alphabet or bound")
+    return table
 
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:

@@ -172,6 +172,8 @@ def test_logarithms_reject_infinitesimal_input(kappa):
         log_left(kappa)
     with pytest.raises(InvalidFormError):
         log_right(kappa)
+    with pytest.raises(InvalidFormError):
+        char_inverse(kappa)
 
 
 def test_incomplete_tables_surface_from_deep_evaluation():

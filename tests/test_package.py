@@ -1,11 +1,14 @@
 """The package surface: exported names and the README example."""
 
+import ast
 import re
+import sys
 from pathlib import Path
 
 import cumulants
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(cumulants.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -19,3 +22,20 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_the_package_imports_only_the_standard_library():
+    foreign = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "cumulants" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}: {name}")
+    assert foreign == []

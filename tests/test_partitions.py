@@ -173,6 +173,13 @@ def test_labelling_count_matches_brute_force_extensions():
             assert monotone_labelling_count(p) == sum(1 for _ in linear_extensions(p))
 
 
+def test_labelling_weight_is_the_share_of_listed_extensions():
+    for n in range(1, 9):
+        for p in enumerate_nc(n) + enumerate_interval(n):
+            listed = sum(1 for _ in linear_extensions(p))
+            assert partitions.WEIGHTS["labelling"](p) == F(listed, factorial(p.num_blocks))
+
+
 def test_linear_extensions_put_parents_first():
     p = part(6, (1, 6), (2, 5), (3, 4))
     exts = list(linear_extensions(p))
@@ -410,12 +417,8 @@ _SCALARS = st.one_of(
     data=st.data(),
 )
 def test_integer_kernel_equals_the_fraction_loop(family, weight, pool, rng, data):
-    # The labelling weight counts outer-first block orders one by one, 9!
-    # of them for nine singletons, so it stops at degree 8, the most that
-    # verify asks of it.
-    top = 8 if weight == "labelling" else 9
     # Listed downwards, so the simplest example, drawn first, is the top degree.
-    n = data.draw(st.sampled_from(range(top, 0, -1)))
+    n = data.draw(st.sampled_from(range(9, 0, -1)))
     w = Word(tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
     values = {u: rng.choice(pool) for u in all_words(2, n)}
     got = partition_sum(values, w, family, weight)

@@ -27,7 +27,8 @@ def univariate_moments(values):
 
 def moments_to_cumulants_via_forms(m, target):
     """moments_to_cumulants through the closed-form logarithm forms: free and
-    boolean by the antipode series instead of the fixed-point recursions."""
+    boolean as (m - e) < m^{-1} and m^{-1} > (m - e), with the inverse's
+    own fixed point, instead of the solvers' word-by-word recursions."""
     log = {"free": forms.log_left, "boolean": forms.log_right, "monotone": forms.log_star}
     form = log[target](forms.CharacterFromWords(m.values))
     values = {w: form.eval_word(w) for w in all_words(m.n_letters, m.max_degree)}
@@ -54,6 +55,17 @@ def test_table_rejects_out_of_range_entries():
         CumulantTable(
             "moment", 1, 1, {Word((0,)): F(1), Word((1,)): F(2)}
         )
+    # Both total-table types name one stray key, whatever keys sit beside
+    # it: the least one when all are words.
+    for build in (
+        lambda values: CumulantTable("free", ["a"], 1, values),
+        lambda values: prelie.InfChar(1, 1, values),
+    ):
+        with pytest.raises(ValueError, match=r"entry Word\(c\) is outside"):
+            build({(0,): 1, Word((3,)): 2, Word((2,)): 3})
+        for stray in ({Word((3,)): 2, (4,): 5}, {"x": 2}, {Word((0, 0)): 1, "x": 2}):
+            with pytest.raises(ValueError, match="is outside the alphabet or bound"):
+                build({(0,): 1, **stray})
 
 
 def test_truncation():
