@@ -3,9 +3,9 @@ families, nesting forests, tree factorials, and weighted partition sums.
 
 Blocks are tuples of 1-based positions; a SetPartition keeps its blocks
 sorted internally and ordered by minimum, which makes equality and hashing
-structural.  Enumerations are deterministic and bounded (n <= 12 for the
-non-crossing families, which is far beyond what the conversion pipelines
-ever request).
+structural.  Enumerations are deterministic and bounded by MAX_N = 12 for
+the non-crossing families.  `transforms.CONVERT_DEGREE_CAP` is MAX_N, so
+`convert` requests degree 12 itself: NC(12) holds 208 012 partitions.
 
 `partition_sum` enumerates and weighs each family once per (degree, family,
 weight) and keeps the result as a shape: the distinct blocks as 0-based

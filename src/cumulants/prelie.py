@@ -30,12 +30,38 @@ Bernoulli numbers follow the convention B_1 = -1/2, which is the one under
 which the Magnus expansion reads  a - (1/2) a|>a + ...  The Magnus map and
 its inverse direction W are mutually inverse on the graded truncation, and
 nothing is computed beyond the table bound.
+
+The three exponentials that carry cumulants to moments are tabulated here
+the same way, on plain word tables, for an infinitesimal operand a.  The
+moment table is a character, so its value on a bar-word is the product over
+the factors, and only the terms below survive of each exponential's sum
+over a coproduct:
+
+    exp_left   X = e + a < X    X(w) = sum over S containing position 1
+                                       of a(w_S) X(gap_1) ... X(gap_r),
+                                the gaps being the maximal runs of the
+                                complement of S, 2^(n-1) subsets per word;
+    exp_right  Z = e + Z > a    Z(w) = sum over 1 <= j <= n
+                                       of a(w_{1..j}) Z(w_{j+1..n});
+    exp_star   Phi = sum_k a^{*k} / k!, where a^{*k} = a^{*(k-1)} * a reads
+                                a only on a single interval I of w:
+                                a^{*k}(w) = sum over I of a^{*(k-1)}(w - I) a(w_I),
+                                O(n^3) per word.
+
+The last is the monotone time evolution dPhi_t/dt = Phi_t * a at t = 1,
+coefficient by coefficient: a^{*k}(w) / k! is the t^k coefficient of Phi_t(w).
+Each value reads the moments, or the powers, only below the degree of its
+word, so walking the words by ascending degree computes each once.  The
+sums run in integers over the table's least common denominator L: at a word
+of degree n, L^n X(w), L^n Z(w) and L^k a^{*k}(w) are integers, and each
+word builds one Fraction.  The forms of `forms` stay the independent
+reference for these tables in verify_suite and in the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .forms import InfinitesimalFromWords
 from .words import Word, total_table
@@ -195,3 +221,106 @@ def magnus(a: InfChar) -> InfChar:
             iterates[m][w] = v
         om[w] = value
     return InfChar(a.n_letters, d, om)
+
+
+# ---------------------------------------------------------------------------
+# exponentials on word tables
+# ---------------------------------------------------------------------------
+
+
+def _numerators(a: dict[Word, Fraction]) -> tuple[int, dict[Word, int]]:
+    """The least common denominator L of the table, and L * a(w) on each word."""
+    scale = lcm(*(v.denominator for v in a.values()))
+    return scale, {w: v.numerator * (scale // v.denominator) for w, v in a.items()}
+
+
+def exp_left_table(a: dict[Word, Fraction]) -> dict[Word, Fraction]:
+    """exp_left(a), X = e + a < X, on every word of the table a.
+
+    `a` holds the values of an infinitesimal character on every word up to
+    a bound, in ascending degree, as `words.total_table` builds it; the
+    result holds X on the same words.  With a the free cumulants, X is the
+    moments.
+    """
+    scale, num = _numerators(a)
+    x: dict = {(): 1}  # L^n X(w), an integer
+    out: dict[Word, Fraction] = {}
+    for w in a:
+        n = len(w)
+        total = 0
+        # The subsets S that contain the first position, grown one position
+        # at a time: the letters w_S so far, the last position taken, and
+        # L^(|S| - 1) times the product of x over the gaps closed so far.
+        # A zero product closes no further gap.
+        stack = [(w[:1], 0, 1)]
+        while stack:
+            chosen, last, gaps = stack.pop()
+            value = num[chosen]
+            if value:
+                tail = x[w[last + 1 :]]
+                if tail:
+                    total += value * gaps * tail
+            for p in range(last + 1, n):
+                gap = x[w[last + 1 : p]]
+                if gap:
+                    stack.append((chosen + w[p : p + 1], p, gaps * gap * scale))
+        x[w] = total
+        out[w] = Fraction(total, scale**n)
+    return out
+
+
+def exp_right_table(a: dict[Word, Fraction]) -> dict[Word, Fraction]:
+    """exp_right(a), Z = e + Z > a, on every word of the table a.
+
+    Only the prefix extractions survive: Z(w) = sum over j of
+    a(w_{1..j}) Z(w_{j+1..n}).  The table is read as in `exp_left_table`;
+    with a the boolean cumulants, Z is the moments.
+    """
+    scale, num = _numerators(a)
+    z: dict = {(): 1}  # L^n Z(w), an integer
+    out: dict[Word, Fraction] = {}
+    for w in a:
+        n = len(w)
+        total = 0
+        for j in range(1, n + 1):
+            head = num[w[:j]]
+            if head:
+                rest = z[w[j:]]
+                if rest:
+                    total += head * scale ** (j - 1) * rest
+        z[w] = total
+        out[w] = Fraction(total, scale**n)
+    return out
+
+
+def exp_star_table(a: dict[Word, Fraction]) -> dict[Word, Fraction]:
+    """exp_star(a) = sum_k a^{*k} / k! on every word of the table a.
+
+    a^{*k}(w) sums a^{*(k-1)}(w - I) a(w_I) over the intervals I of w, and
+    vanishes for k > n; each word keeps its powers for the longer words
+    that read them.  The table is read as in `exp_left_table`; with a the
+    monotone cumulants, the result is the moments.
+    """
+    scale, num = _numerators(a)
+    powers: dict = {(): (1,)}  # L^k a^{*k}(w), integers; a^{*0} = e
+    out: dict[Word, Fraction] = {}
+    for w in a:
+        n = len(w)
+        acc = [0] * (n + 1)  # acc[0] = e(w) = 0
+        for i in range(n):
+            head = w[:i]
+            for j in range(i + 1, n + 1):
+                x = num[w[i:j]]
+                if x:
+                    for k, y in enumerate(powers[head + w[j:]], 1):
+                        if y:
+                            acc[k] += y * x
+        powers[w] = acc
+        # sum over k of acc[k] / (L^k k!), over the denominator L^n n!
+        total = sum(
+            v * scale ** (n - k) * (factorial(n) // factorial(k))
+            for k, v in enumerate(acc)
+            if v
+        )
+        out[w] = Fraction(total, scale**n * factorial(n))
+    return out

@@ -4,7 +4,10 @@ Every conversion is computed along two independent routes and the results
 are compared entry by entry:
 
   * a shuffle route through the half-shuffle / convolution exponentials and
-    the Magnus expansion, and
+    the Magnus expansion: cumulants reach moments through the word-table
+    kernels of `prelie` (exp_left_table, exp_right_table, exp_star_table),
+    while the exponentials as forms stay the reference that verify_suite
+    and the tests compare with, and
   * a partition route through non-crossing, interval, or irreducible
     non-crossing partition sums (or a two-step detour through moments where
     no direct partition formula applies).
@@ -224,10 +227,19 @@ def moments_to_cumulants(m: CumulantTable, target: str) -> CumulantTable:
 # cumulants -> moments
 # ---------------------------------------------------------------------------
 
+# The exponentials as forms, the reference that verify_suite and the tests
+# compare with, and as table kernels, the shuffle route of
+# cumulants_to_moments.
 _MOMENT_EXP = {
     "free": forms.exp_left,
     "boolean": forms.exp_right,
     "monotone": forms.exp_star,
+}
+
+_MOMENT_KERNEL = {
+    "free": prelie.exp_left_table,
+    "boolean": prelie.exp_right_table,
+    "monotone": prelie.exp_star_table,
 }
 
 _MOMENT_PARTITIONS = {
@@ -245,11 +257,10 @@ def cumulants_to_moments(c: CumulantTable) -> CumulantTable:
     if c.kind not in CUMULANT_KINDS:
         raise ValueError(f"expected a cumulant table, got kind {c.kind!r}")
     _check_degree_cap(c)
-    exp_form = _MOMENT_EXP[c.kind](forms.InfinitesimalFromWords(c.values))
+    shuffled = _MOMENT_KERNEL[c.kind](c.values)
     family, weight = _MOMENT_PARTITIONS[c.kind]
-    values: dict[Word, Fraction] = {}
     for w in _words_of(c):
-        shuffle_value = exp_form.eval_word(w)
+        shuffle_value = shuffled[w]
         lattice_value = partitions.partition_sum(c.values, w, family, weight)
         if shuffle_value != lattice_value:
             raise RouteDisagreementError(
@@ -258,8 +269,7 @@ def cumulants_to_moments(c: CumulantTable) -> CumulantTable:
                 word=w,
                 values=(shuffle_value, lattice_value),
             )
-        values[w] = shuffle_value
-    return CumulantTable("moment", c.generators, c.max_degree, values)
+    return CumulantTable("moment", c.generators, c.max_degree, shuffled)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 
 from cumulants import forms
 from cumulants.errors import IncompleteTableError
-from cumulants.prelie import InfChar, bernoulli, magnus, triangle, w_map
+from cumulants.prelie import (
+    InfChar,
+    bernoulli,
+    exp_left_table,
+    exp_right_table,
+    exp_star_table,
+    magnus,
+    triangle,
+    w_map,
+)
 from cumulants.words import Word, all_words
 
 
@@ -60,14 +69,15 @@ _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_example
 
 
 @st.composite
-def tables(draw, n_letters, degree):
-    """A random InfChar, about one value in five zero, and zero below a drawn
-    degree so that the product's skipped low degrees are exercised too."""
+def tables(draw, n_letters, degree, zeros=0.2):
+    """A random InfChar, about a `zeros` share of its values zero, and zero
+    below a drawn degree so that the product's skipped low degrees are
+    exercised too."""
     lowest = draw(st.integers(1, degree + 1))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     values = {}
     for w in all_words(n_letters, degree):
-        zero = w.degree < lowest or rng.random() < 0.2
+        zero = w.degree < lowest or rng.random() < zeros
         values[w] = F(0) if zero else F(rng.randint(-6, 6), rng.randint(1, 4))
     return InfChar(n_letters, degree, values)
 
@@ -161,3 +171,35 @@ def test_triangle_equals_the_product_over_full_half_coproducts(n_letters, degree
 def test_graded_magnus_equals_the_fixed_point_iteration(n_letters, degree, data):
     a = data.draw(tables(n_letters, degree))
     assert magnus(a) == fixed_point_magnus(a)
+
+
+EXPONENTIALS = [
+    (exp_left_table, forms.exp_left),
+    (exp_right_table, forms.exp_right),
+    (exp_star_table, forms.exp_star),
+]
+
+
+# A table of the largest degree holds every lower degree too; the bound
+# shrinks with the alphabet to keep the forms' reference quick.
+@pytest.mark.parametrize("kernel, exponential", EXPONENTIALS)
+@pytest.mark.parametrize("n_letters, degree", [(1, 7), (2, 6), (3, 4)])
+@_PROPERTY
+@given(zeros=st.sampled_from([0.2, 0.8]), data=st.data())
+def test_exponential_tables_equal_the_forms(kernel, exponential, n_letters, degree, zeros, data):
+    a = data.draw(tables(n_letters, degree, zeros=zeros))
+    form = exponential(a.as_form())
+    got = kernel(a.table)
+    assert list(got) == list(a.table)
+    assert got == {w: form.eval_word(w) for w in a.table}
+
+
+def test_exponential_tables_of_the_semicircle():
+    # Cumulant 1 at aa alone: as a free cumulant it gives the Catalan numbers
+    # (semicircle law), as a boolean one 1 (symmetric Bernoulli law), and as a
+    # monotone one binom(2k, k) / 2^k at degree 2k (arcsine law).
+    a = univariate(6, (0, 1, 0, 0, 0, 0)).table
+    w = [Word((0,) * n) for n in range(1, 7)]
+    assert [exp_left_table(a)[v] for v in w] == [0, 1, 0, 2, 0, 5]
+    assert [exp_right_table(a)[v] for v in w] == [0, 1, 0, 1, 0, 1]
+    assert [exp_star_table(a)[v] for v in w] == [0, 1, 0, F(3, 2), 0, F(5, 2)]

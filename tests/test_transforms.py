@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cumulants import cli, forms, prelie, transforms
+from cumulants import cli, coproducts, forms, prelie, transforms
 from cumulants.errors import IncompleteTableError, RouteDisagreementError
 from cumulants.transforms import (
     CumulantTable,
@@ -477,3 +477,49 @@ def test_moments_reach_monotone_cumulants_through_magnus(monkeypatch):
     monotone = moments_to_cumulants(m, "monotone")
     assert seen == [free.values]
     assert monotone.values == by_log_star.values
+
+
+@pytest.mark.parametrize("kind", ["free", "boolean", "monotone"])
+def test_a_skewed_moment_kernel_is_caught_at_its_word(kind, monkeypatch):
+    c = random_table(kind, 2, 4, seed=47)
+    wrong = Word((1, 0, 1))
+    real = transforms._MOMENT_KERNEL[kind]
+
+    def skewed(values):
+        out = real(values)
+        out[wrong] += F(1, 7)
+        return out
+
+    monkeypatch.setitem(transforms._MOMENT_KERNEL, kind, skewed)
+    with pytest.raises(
+        RouteDisagreementError, match=f"^{kind} moments disagree at 'bab': shuffle route "
+    ) as info:
+        cumulants_to_moments(c)
+    assert info.value.word == wrong
+    shuffled, lattice = info.value.values
+    assert shuffled - lattice == F(1, 7)
+    assert str(info.value).endswith(f"shuffle route {shuffled}, partition route {lattice}")
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        ("free", "moment"),
+        ("boolean", "moment"),
+        ("monotone", "moment"),
+        ("free", "monotone"),
+        ("boolean", "monotone"),
+    ],
+)
+def test_converting_a_cumulant_table_builds_no_form(source, target, monkeypatch):
+    caches = (coproducts.coproduct, coproducts.coproduct_left, coproducts.coproduct_right)
+    for cache in caches:
+        cache.cache_clear()
+
+    def refuse(self, u):
+        raise AssertionError("a Form was evaluated")
+
+    monkeypatch.setattr(forms.Form, "eval", refuse)
+    c = random_table(source, 2, 4, seed=53)
+    assert convert_table(c, target).kind == target
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
