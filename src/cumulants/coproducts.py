@@ -2,14 +2,16 @@
 
 The coproduct of a word a_1...a_n extracts the subword at a position set S
 on the left and leaves the bar-word of maximal unextracted runs on the
-right, one term per subset (2^n in total).  On bar-words it extends
-multiplicatively, multiplying legs by bar-concatenation, with the unit
-grouplike.  The half variants split the terms by whether position 1 is
-extracted:
+right, one term per subset (2^n in total).  S is read as a mask whose bit
+i - 1 is set when position i is extracted, and one walk over the letters
+builds both legs.  On bar-words the coproduct extends multiplicatively,
+multiplying legs by bar-concatenation, with the unit grouplike.  The half
+variants split the terms by whether position 1 is extracted, which is the
+mask's lowest bit:
 
-    left half   keeps the subsets with 1 in S (so the left leg never
+    left half   keeps the odd masks, 1 in S (so the left leg never
                 vanishes; includes the w (x) unit term),
-    right half  keeps the subsets with 1 not in S (includes unit (x) w).
+    right half  keeps the even masks, 1 not in S (includes unit (x) w).
 
 On multi-factor bar-words each map splits the first factor its own way and
 multiplies by the full coproduct of the rest.  Both halves are undefined on
@@ -26,15 +28,7 @@ from __future__ import annotations
 from functools import cache
 
 from .lincomb import LinComb
-from .words import (
-    UNIT,
-    BarWord,
-    Word,
-    bar_concat,
-    complement_components,
-    lift,
-    subword,
-)
+from .words import UNIT, BarWord, Word, bar_concat, lift
 
 
 def split_product(s: LinComb, t: LinComb) -> LinComb:
@@ -54,8 +48,9 @@ def split_product(s: LinComb, t: LinComb) -> LinComb:
 def _split(u: BarWord, split_first, first_mask: int, step: int) -> LinComb:
     """split_first on the first factor of u times the coproduct of the rest.
 
-    On a one-factor bar-word this is one (subword, complement runs) pair per
-    position-set mask in range(first_mask, 2^n, step).
+    On a one-factor bar-word this is one (extracted letters, unextracted
+    runs) pair per mask in range(first_mask, 2^n, step), each built in one
+    walk over the letters.
     """
     w, *rest = u
     if rest:
@@ -63,8 +58,18 @@ def _split(u: BarWord, split_first, first_mask: int, step: int) -> LinComb:
     n = len(w)
     acc: dict = {}
     for mask in range(first_mask, 1 << n, step):
-        positions = [p for p in range(1, n + 1) if mask >> (p - 1) & 1]
-        key = (lift(subword(w, positions)), complement_components(w, positions))
+        taken = []
+        runs = []
+        start = 0  # where the current unextracted run began
+        for i, letter in enumerate(w):
+            if mask >> i & 1:
+                taken.append(letter)
+                if start < i:
+                    runs.append(Word(w[start:i]))
+                start = i + 1
+        if start < n:
+            runs.append(Word(w[start:]))
+        key = (lift(Word(taken)), BarWord(runs))
         acc[key] = acc.get(key, 0) + 1
     return LinComb._raw(acc)
 

@@ -37,30 +37,17 @@ class LinComb:
         return out
 
     @classmethod
-    def zero(cls) -> "LinComb":
-        return cls._raw({})
-
-    @classmethod
     def term(cls, key, coeff: Scalar = Fraction(1)) -> "LinComb":
         return cls._raw({key: coeff} if coeff else {})
 
-    def coefficient(self, key) -> Scalar:
-        return self._data.get(key, Fraction(0))
-
     def items(self):
         return self._data.items()
-
-    def keys(self):
-        return self._data.keys()
 
     def sorted_items(self):
         return sorted(self._data.items(), key=lambda kv: kv[0])
 
     def __len__(self) -> int:
         return len(self._data)
-
-    def __bool__(self) -> bool:
-        return bool(self._data)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinComb) and self._data == other._data
@@ -84,14 +71,6 @@ class LinComb:
             elif key in acc:
                 del acc[key]
         return LinComb._raw(acc)
-
-    def scale(self, c: Scalar) -> "LinComb":
-        if not c:
-            return LinComb.zero()
-        return LinComb._raw({key: coeff * c for key, coeff in self._data.items()})
-
-    def __neg__(self) -> "LinComb":
-        return self.scale(Fraction(-1))
 
     def __repr__(self) -> str:
         if not self._data:

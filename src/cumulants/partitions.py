@@ -28,7 +28,7 @@ from math import factorial, lcm, prod
 
 from .errors import IncompleteTableError
 from .lincomb import LinComb
-from .words import Word, subword
+from .words import Word
 
 MAX_N = 12
 
@@ -253,7 +253,6 @@ def linear_extensions(p: SetPartition):
     always one of the innermost (an interval).
     """
     children = nesting_children(p)
-    parent = {c: b for b in children for c in children[b]}
     placed: list = []
     available = sorted(children[None])
 
@@ -433,7 +432,7 @@ def monotone_tuple_lincomb(n: int, q: int, w: Word) -> LinComb:
     """
     acc: dict = {}
     for _, order in enumerate_monotone(n, q):
-        key = tuple(subword(w, block) for block in order)
+        key = tuple(Word(w[p - 1] for p in block) for block in order)
         acc[key] = acc.get(key, 0) + 1
     return LinComb(acc.items())
 

@@ -1,4 +1,4 @@
-"""Words over an integer alphabet, bar-words, and position-set extraction.
+"""Words over an integer alphabet and bar-words.
 
 Letters are plain non-negative ints.  A Word is a finite sequence of letters;
 a BarWord w1|w2|...|wk is a sequence of non-empty words, with the empty
@@ -8,8 +8,6 @@ their order differs (degree first).  So EMPTY_WORD == UNIT == (), and a
 one-factor bar-word equals the 1-tuple of its word: keep words, bar-words
 and tuples of words in separate containers.  Everything here is immutable
 and safe to share between threads.
-
-Positions inside a word are 1-based throughout.
 """
 
 from __future__ import annotations
@@ -104,42 +102,6 @@ def bar_concat(a: BarWord, b: BarWord) -> BarWord:
     """Concatenation of factor sequences, the product of the bar algebra."""
     # Neither side holds an empty factor, so there is nothing to drop.
     return tuple.__new__(BarWord, a + b)
-
-
-def subword(w: Word, positions: Iterable[int]) -> Word:
-    """Letters of w at the given 1-based positions, in increasing order.
-
-    Duplicate positions collapse; an empty position set gives the empty word.
-    """
-    taken = sorted(set(positions))
-    n = len(w)
-    if taken and not (1 <= taken[0] and taken[-1] <= n):
-        raise ValueError(f"positions {taken} out of range for a degree-{n} word")
-    return Word(w[p - 1] for p in taken)
-
-
-def complement_components(w: Word, positions: Iterable[int]) -> BarWord:
-    """The bar-word of maximal unextracted runs of w.
-
-    Removing the letters at `positions` from [1..n] leaves a union of
-    maximal integer intervals; each becomes one factor, in increasing order.
-    """
-    taken = set(positions)
-    n = len(w)
-    if taken and not all(1 <= p <= n for p in taken):
-        raise ValueError(f"positions {sorted(taken)} out of range for a degree-{n} word")
-    runs: list[Word] = []
-    current: list[int] = []
-    for p in range(1, n + 1):
-        if p in taken:
-            if current:
-                runs.append(Word(current))
-                current = []
-        else:
-            current.append(w[p - 1])
-    if current:
-        runs.append(Word(current))
-    return BarWord(runs)
 
 
 def all_words(n_letters: int, max_degree: int, min_degree: int = 1) -> Iterator[Word]:

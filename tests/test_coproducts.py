@@ -4,6 +4,7 @@ Small cases are written out by hand and frozen; structural laws are then
 checked exhaustively over low degrees.
 """
 
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -61,8 +62,8 @@ def test_coproduct_two_letters_by_hand():
 
 def test_coproduct_middle_extraction_leaves_two_components():
     # extracting the middle letter of aba leaves a|a on the right leg
-    terms = coproduct(lift(Word((0, 1, 0))))
-    assert terms.coefficient((lift(B), bw(A, A))) == 1
+    terms = dict(coproduct(lift(Word((0, 1, 0)))).items())
+    assert terms[(lift(B), bw(A, A))] == 1
 
 
 def test_coproduct_is_multiplicative_over_bars():
@@ -109,7 +110,7 @@ def test_right_half_never_extracts_first_letter():
 def test_reduced_variants_drop_unit_legs():
     for u in all_barwords(2, 3):
         both = coproduct_reduced(u)
-        assert all(not x.is_unit and not y.is_unit for (x, y) in both.keys())
+        assert all(not x.is_unit and not y.is_unit for (x, y), _ in both.items())
         full = both + LinComb(
             {(u, UNIT): Fraction(1), (UNIT, u): Fraction(1)}
         )
@@ -196,3 +197,62 @@ def barwords(draw, n_letters=3, max_degree=6):
 def test_coproduct_laws_beyond_the_exhaustive_range(u):
     assert_coassociative(u)
     assert coproduct_left(u) + coproduct_right(u) == coproduct(u)
+
+
+# The split from its definition, by 1-based position sets: the oracle for
+# the mask walk in `coproducts`.
+
+
+def subword(w, positions):
+    """Letters of w at the given 1-based positions, in increasing order."""
+    taken = sorted(set(positions))
+    n = len(w)
+    if taken and not (1 <= taken[0] and taken[-1] <= n):
+        raise ValueError(f"positions {taken} out of range for a degree-{n} word")
+    return Word(w[p - 1] for p in taken)
+
+
+def complement_components(w, positions):
+    """The bar-word of maximal runs of w left when `positions` are removed."""
+    taken = set(positions)
+    n = len(w)
+    if taken and not all(1 <= p <= n for p in taken):
+        raise ValueError(f"positions {sorted(taken)} out of range for a degree-{n} word")
+    runs = []
+    current = []
+    for p in range(1, n + 1):
+        if p in taken:
+            if current:
+                runs.append(Word(current))
+                current = []
+        else:
+            current.append(w[p - 1])
+    if current:
+        runs.append(Word(current))
+    return BarWord(runs)
+
+
+def split_by_position_sets(w, keep):
+    """One (subword, complement runs) term per position set S with keep(S)."""
+    n = len(w)
+    terms = []
+    for size in range(n + 1):
+        for positions in itertools.combinations(range(1, n + 1), size):
+            if keep(positions):
+                key = (lift(subword(w, positions)), complement_components(w, positions))
+                terms.append((key, Fraction(1)))
+    return LinComb(terms)
+
+
+one_factor_words = st.integers(1, 3).flatmap(
+    lambda n_letters: st.lists(st.integers(0, n_letters - 1), min_size=1, max_size=7)
+).map(Word)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(one_factor_words)
+def test_one_factor_splits_match_the_position_set_definition(w):
+    u = lift(w)
+    assert coproduct(u) == split_by_position_sets(w, lambda s: True)
+    assert coproduct_left(u) == split_by_position_sets(w, lambda s: 1 in s)
+    assert coproduct_right(u) == split_by_position_sets(w, lambda s: 1 not in s)

@@ -28,7 +28,12 @@ from cumulants.partitions import (
     partition_sum,
     tree_factorial,
 )
-from cumulants.words import Word, all_words, subword
+from cumulants.words import Word, all_words
+
+
+def subword(w, block):
+    """Letters of w at a block's 1-based positions, in the block's order."""
+    return Word(w[p - 1] for p in block)
 
 
 def part(n, *blocks):

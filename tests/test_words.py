@@ -1,7 +1,9 @@
-import pytest
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cumulants.coproducts import coproduct, coproduct_left
 from cumulants.words import (
     EMPTY_WORD,
     UNIT,
@@ -11,9 +13,7 @@ from cumulants.words import (
     all_words,
     bar_concat,
     barword_str,
-    complement_components,
     lift,
-    subword,
     word_str,
 )
 
@@ -54,24 +54,32 @@ def test_bar_concat_is_associative_with_unit():
 
 
 def test_subword_uses_one_based_positions():
+    # the coproduct extracts the subword at each set of the 1-based
+    # positions 1..4 onto its left leg, once per set
     w = Word((0, 1, 2, 3))
-    assert subword(w, (1, 3)) == Word((0, 2))
-    assert subword(w, (4,)) == Word((3,))
-    # order and duplicates are ignored, positions are a set
-    assert subword(w, (3, 1, 3)) == Word((0, 2))
-    with pytest.raises(ValueError):
-        subword(w, (0,))
-    with pytest.raises(ValueError):
-        subword(w, (5,))
+    terms = dict(coproduct(lift(w)).items())
+    assert terms[(lift(Word((0, 2))), BarWord((Word((1,)), Word((3,)))))] == 1
+    assert terms[(lift(Word((3,))), lift(Word((0, 1, 2))))] == 1
+    # positions are a set, {3, 1, 3} = {1, 3}, and none lies outside 1..4
+    # (no 0 or 5): the left legs are the 2^4 subsequences of w, each once
+    subsequences = {
+        lift(Word(c)) for k in range(5) for c in itertools.combinations(w, k)
+    }
+    assert sorted(x for x, _ in terms) == sorted(subsequences)
+    assert set(terms.values()) == {1}
 
 
 def test_complement_components_splits_into_runs():
     w = Word((0, 1, 2, 3, 4))
-    # removing positions 1 and 4 leaves the runs 23 and 5
-    u = complement_components(w, (1, 4))
-    assert u == BarWord((Word((1, 2)), Word((4,))))
-    assert complement_components(w, (1, 2, 3, 4, 5)) == UNIT
-    assert complement_components(w, ()) == lift(w)
+    # extracting positions 1 and 4 leaves the runs 23 and 5 on the right leg;
+    # position 1 is extracted, so the term lies in the left half
+    key = (lift(Word((0, 3))), BarWord((Word((1, 2)), Word((4,)))))
+    terms = dict(coproduct(lift(w)).items())
+    assert terms[key] == 1
+    assert dict(coproduct_left(lift(w)).items())[key] == 1
+    # extracting every position leaves the unit, extracting none leaves w
+    assert terms[(lift(w), UNIT)] == 1
+    assert terms[(UNIT, lift(w))] == 1
 
 
 def test_all_words_counts_and_order():
