@@ -7,6 +7,14 @@ structural.  Enumerations are deterministic and bounded by MAX_N = 12 for
 the non-crossing families.  `transforms.CONVERT_DEGREE_CAP` is MAX_N, so
 `convert` requests degree 12 itself: NC(12) holds 208 012 partitions.
 
+The non-crossing enumerators build each partition from the block of 1 and
+the partitions of the gaps around it, and the same recursion gives its tree
+factorial tau!, which the enumerated SetPartition carries; an interval
+partition has tau! = 1.  The 1/tau! weights read that value, so no
+partition is scanned again for its nesting forest; `tree_factorial` stays
+the forest scan, the independent definition, and weighs a partition built
+by hand.
+
 `partition_sum` enumerates and weighs each family once per (degree, family,
 weight) and keeps the result as a shape: the distinct blocks as 0-based
 position tuples, and the partitions as tuples of block indices, grouped by
@@ -22,6 +30,7 @@ in noncommutative probability" (Adv. Math. 282, 2015, arXiv:1408.2977).
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
@@ -34,9 +43,13 @@ MAX_N = 12
 
 
 class SetPartition:
-    """A partition of {1..n} into disjoint non-empty blocks."""
+    """A partition of {1..n} into disjoint non-empty blocks.
 
-    __slots__ = ("n", "blocks", "_hash")
+    `tau` is the tree factorial when an enumerator built the partition, and
+    None when it was built by hand; it takes no part in comparisons.
+    """
+
+    __slots__ = ("n", "blocks", "tau", "_hash")
 
     def __init__(self, n: int, blocks):
         cleaned = tuple(sorted(tuple(sorted(b)) for b in blocks))
@@ -49,15 +62,18 @@ class SetPartition:
             raise ValueError(f"blocks do not partition 1..{n}: {cleaned}")
         self.n = n
         self.blocks = cleaned
+        self.tau = None
         self._hash = hash((n, cleaned))
 
     @classmethod
-    def _trusted(cls, n: int, blocks: tuple) -> "SetPartition":
+    def _trusted(cls, n: int, blocks: tuple, tau: int) -> "SetPartition":
         """The enumerators' constructor: `blocks` must already be sorted
-        tuples that partition 1..n, ordered by minimum; nothing is checked."""
+        tuples that partition 1..n, ordered by minimum, and `tau` their tree
+        factorial; nothing is checked."""
         p = cls.__new__(cls)
         p.n = n
         p.blocks = blocks
+        p.tau = tau
         p._hash = hash((n, blocks))
         return p
 
@@ -144,55 +160,79 @@ def _check_n(n: int) -> None:
 
 
 def _nc_blocks(n: int, closed: bool = False):
-    """Non-crossing partitions of [n], as tuples of sorted blocks ordered by
-    minimum.
+    """Non-crossing partitions of [n], as (blocks, tau) records: the blocks
+    as sorted tuples ordered by minimum, and tau the tree factorial of the
+    partition's nesting forest.
 
-    Decomposes on the block of the smallest element: the rest of that block
-    is any subset of the remaining positions, and the leftover positions
-    fall into gaps between consecutive block members, each partitioned
-    independently (nothing may cross the block).  With `closed` the block
-    of 1 also holds n, which gives the irreducible partitions without
+    Decomposes on the block B of the smallest element: the rest of B is any
+    subset of the remaining positions, and the leftover positions fall into
+    gaps, each partitioned independently (nothing may cross B).  The blocks
+    of the inner gaps, between consecutive members of B, make up B's
+    subtree of the nesting forest, and those of the trailing gap, after B's
+    last member, are its siblings and their subtrees.  So
+    tau = (1 + k_inner) * prod(tau of the inner gaps) * tau(trailing gap),
+    where k_inner counts the blocks of the inner gaps.  With `closed` the
+    block of 1 also holds n, which gives the irreducible partitions without
     building the others.  Every gap is an interval, so each one is
-    partitioned once per call and its list shared by the partitions around
-    it.
+    partitioned once per call and its records shared by the partitions
+    around it; they are dropped when the enumeration ends.
     """
     gaps: dict = {}
 
-    def gap(lo: int, hi: int) -> list:
+    def gap(lo: int, hi: int) -> tuple:
+        # the records of lo..hi-1 as two parallel tuples, blocks and tau: a
+        # pair per record would hold about 5 MB more at n = 12
         key = (lo, hi)
         parts = gaps.get(key)
         if parts is None:
-            parts = gaps[key] = list(grow(lo, hi, False))
+            parts = gaps[key] = tuple(zip(*grow(lo, hi, False)))
         return parts
 
     def grow(first: int, stop: int, closed: bool):
-        # the partitions of first..stop-1
+        # the records of first..stop-1
         if first >= stop:
-            yield ()
+            yield (), 1
             return
         rest = range(first + 1, stop)
         free, forced = (rest[:-1], (stop - 1,)) if closed and rest else (rest, ())
         for r in range(len(free) + 1):
             for chosen in itertools.combinations(free, r):
                 block = (first,) + chosen + forced
-                ends = block[1:] + (stop,)
-                gap_parts = [gap(lo + 1, hi) for lo, hi in zip(block, ends)]
-                for combo in itertools.product(*gap_parts):
-                    yield (block,) + tuple(itertools.chain.from_iterable(combo))
+                # block with each choice of its subtree, as (blocks, product
+                # of the inner gaps' tau) while the inner gaps are filled in,
+                # then as (blocks, tau of the subtree)
+                trees = [((block,), 1)]
+                for lo, hi in zip(block, block[1:]):
+                    if hi > lo + 1:
+                        trees = [
+                            (below + inner, tau * inner_tau)
+                            for below, tau in trees
+                            for inner, inner_tau in zip(*gap(lo + 1, hi))
+                        ]
+                trees = [(below, len(below) * tau) for below, tau in trees]
+                trailing = gap(block[-1] + 1, stop)
+                for below, tau in trees:
+                    for after, after_tau in zip(*trailing):
+                        yield below + after, tau * after_tau
 
-    return grow(1, n + 1, closed)
+    # The two closures refer to each other, so without the clear the records
+    # would outlive the enumeration until the cyclic collector runs.
+    try:
+        yield from grow(1, n + 1, closed)
+    finally:
+        gaps.clear()
 
 
 def enumerate_nc(n: int) -> list[SetPartition]:
     """All non-crossing partitions of [n] (Catalan many)."""
     _check_n(n)
-    return [SetPartition._trusted(n, blocks) for blocks in _nc_blocks(n)]
+    return [SetPartition._trusted(n, blocks, tau) for blocks, tau in _nc_blocks(n)]
 
 
 def enumerate_irreducible_nc(n: int) -> list[SetPartition]:
     """Non-crossing partitions whose block of 1 also contains n."""
     _check_n(n)
-    return [SetPartition._trusted(n, blocks) for blocks in _nc_blocks(n, closed=True)]
+    return [SetPartition._trusted(n, b, tau) for b, tau in _nc_blocks(n, closed=True)]
 
 
 def enumerate_interval(n: int) -> list[SetPartition]:
@@ -207,7 +247,8 @@ def enumerate_interval(n: int) -> list[SetPartition]:
                 blocks.append(tuple(range(start, k)))
                 start = k
         blocks.append(tuple(range(start, n + 1)))
-        out.append(SetPartition._trusted(n, tuple(blocks)))
+        # no block nests in another, so the tree factorial is 1
+        out.append(SetPartition._trusted(n, tuple(blocks), 1))
     return out
 
 
@@ -295,12 +336,20 @@ _FAMILIES = {
 }
 
 
+_ONE = Fraction(1)
+
+
 def _weight_one(p: SetPartition) -> Fraction:
-    return Fraction(1)
+    return _ONE
+
+
+def _tau(p: SetPartition) -> int:
+    """The tree factorial the enumerator recorded, else the forest scan."""
+    return tree_factorial(p) if p.tau is None else p.tau
 
 
 def _weight_inv_tau(p: SetPartition) -> Fraction:
-    return Fraction(1, tree_factorial(p))
+    return Fraction(1, _tau(p))
 
 
 def _weight_sign(p: SetPartition) -> Fraction:
@@ -308,7 +357,7 @@ def _weight_sign(p: SetPartition) -> Fraction:
 
 
 def _weight_sign_inv_tau(p: SetPartition) -> Fraction:
-    return Fraction((-1) ** (p.num_blocks - 1), tree_factorial(p))
+    return Fraction((-1) ** (p.num_blocks - 1), _tau(p))
 
 
 def _weight_labelling(p: SetPartition) -> Fraction:
@@ -349,6 +398,9 @@ WEIGHTS = {
 # - scale: the lcm of the weights' denominators;
 # - groups: one (k, c * scale, partitions) per block count k and weight c,
 #   each partition a tuple of indices into blocks.
+# Each partition is weighed once, through WEIGHTS, and grouped on the
+# integers (k, numerator, denominator) of its weight; the block count is
+# len(p.blocks), and the 1/tau! weights read the tau! the enumerator found.
 # At most MAX_N * len(_FAMILIES) * len(WEIGHTS) keys; the largest, NC(12)
 # with 208 012 partitions, holds about 21 MB.
 _SHAPES: dict = {}
@@ -359,7 +411,10 @@ def _shapes(n: int, family: str, weight: str) -> tuple:
     shapes = _SHAPES.get(key)
     if shapes is None:
         weigh = WEIGHTS[weight]
-        index: dict = {}
+        # a block's index is the number of blocks seen before it
+        index: defaultdict = defaultdict()
+        index.default_factory = index.__len__
+        at = index.__getitem__
         groups: dict = {}
         found = _FAMILIES[family](n)
         # Popped from the end, each partition is freed once it is read, so
@@ -367,16 +422,17 @@ def _shapes(n: int, family: str, weight: str) -> tuple:
         found.reverse()
         while found:
             p = found.pop()
-            members = groups.setdefault((len(p.blocks), weigh(p)), [])
-            members.append(tuple(index.setdefault(b, len(index)) for b in p.blocks))
-        scale = lcm(*(c.denominator for _, c in groups))
+            c = weigh(p)
+            members = groups.setdefault((len(p.blocks), c.numerator, c.denominator), [])
+            members.append(tuple(map(at, p.blocks)))
+        scale = lcm(*(den for _, _, den in groups))
         blocks = tuple(tuple(x - 1 for x in b) for b in index)
         shapes = _SHAPES[key] = (
             blocks,
             scale,
             tuple(
-                (k, c.numerator * (scale // c.denominator), tuple(members))
-                for (k, c), members in groups.items()
+                (k, num * (scale // den), tuple(members))
+                for (k, num, den), members in groups.items()
             ),
         )
     return shapes
