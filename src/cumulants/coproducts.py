@@ -21,6 +21,10 @@ All maps return shared, memoized LinComb values over pairs of bar-words
 (pairs of plain words for the reduced linearised variant), so callers must
 treat results as immutable.  The caches are unbounded, which is safe
 because inputs are degree-bounded in every pipeline.
+
+Every coefficient of coproduct, coproduct_left and coproduct_right is a
+positive int (a count of masks), the unit's included; `forms.Conv` relies on
+this to sum a product of forms over them in integers.
 """
 
 from __future__ import annotations
@@ -32,16 +36,16 @@ from .words import UNIT, BarWord, Word, bar_concat, lift
 
 
 def split_product(s: LinComb, t: LinComb) -> LinComb:
-    """Componentwise bar-concatenation of two leg-pair combinations."""
+    """Componentwise bar-concatenation of two leg-pair combinations.
+
+    The factors must have positive coefficients, as the coproducts and their
+    halves do, so no sum cancels and no zero needs pruning.
+    """
     acc: dict = {}
     for (x1, y1), c1 in s.items():
         for (x2, y2), c2 in t.items():
             key = (bar_concat(x1, x2), bar_concat(y1, y2))
-            value = acc.get(key, 0) + c1 * c2
-            if value:
-                acc[key] = value
-            elif key in acc:
-                del acc[key]
+            acc[key] = acc.get(key, 0) + c1 * c2
     return LinComb._raw(acc)
 
 
@@ -78,7 +82,7 @@ def _split(u: BarWord, split_first, first_mask: int, step: int) -> LinComb:
 def coproduct(u: BarWord) -> LinComb:
     """The full coproduct; grouplike on the unit, multiplicative on factors."""
     if u.is_unit:
-        return LinComb.term((UNIT, UNIT))
+        return LinComb.term((UNIT, UNIT), 1)
     return _split(u, coproduct, 0, 1)
 
 

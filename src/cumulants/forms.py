@@ -23,10 +23,15 @@ Conventions, with e the counit (1 on the unit bar-word, else 0):
   * exp_star and log_star are power series in a base form vanishing on the
     unit, finite sums at every input, so no truncation parameter appears.
 
-`Conv._eval` is the one loop over a coproduct here.  Preconditions are
-checked at construction: the exponentials require an infinitesimal operand
-(vanishing on the unit), the logarithms and the inverse require a unital
-one (value 1 on the unit).
+`Conv._eval` is the one loop over a coproduct here.  It reads every operand
+value through `Form.eval` and sums the terms c * f(x) * g(y) in integers,
+one numerator sum per denominator product (the coproduct coefficients c are
+ints), then builds one Fraction per group.  It shares no code with the
+word-table kernels in `prelie`, which `verify` checks it against.
+
+Preconditions are checked at construction: the exponentials require an
+infinitesimal operand (vanishing on the unit), the logarithms and the
+inverse require a unital one (value 1 on the unit).
 """
 
 from __future__ import annotations
@@ -185,13 +190,20 @@ class Conv(Form):
                 return self.f.eval(u) if isinstance(self.g, Counit) else _ZERO
             return self.g.eval(u) if isinstance(self.f, Counit) else _ZERO
         f, g = self.f, self.g
-        total = _ZERO
+        # Integer numerators summed per denominator product: the
+        # coefficients c are ints, so no term builds or normalises a Fraction.
+        sums: dict[int, int] = {}
         for (x, y), c in _SPLITTERS[self.kind](u).items():
             fx = f.eval(x)
             if fx:
                 gy = g.eval(y)
                 if gy:
-                    total += c * fx * gy
+                    d = fx.denominator * gy.denominator
+                    sums[d] = sums.get(d, 0) + c * fx.numerator * gy.numerator
+        total = _ZERO
+        for d, n in sums.items():
+            if n:
+                total += Fraction(n, d)
         return total
 
 

@@ -78,6 +78,17 @@ def test_coproduct_is_multiplicative_over_bars():
             assert split_first(u) == expect, (split_first.__name__, u)
 
 
+def test_coproduct_coefficients_are_positive_ints():
+    # forms.Conv sums c * f(x) * g(y) in integers, which needs int c
+    for u in all_barwords(2, 4, include_unit=True):
+        splits = (coproduct,)
+        if not u.is_unit:
+            splits += (coproduct_left, coproduct_right)
+        for split in splits:
+            for key, c in split(u).items():
+                assert type(c) is int and c > 0, (split.__name__, u, key, c)
+
+
 def test_half_coproducts_partition_the_full_one():
     for u in all_barwords(2, 4):
         assert coproduct_left(u) + coproduct_right(u) == coproduct(u)

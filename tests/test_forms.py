@@ -3,11 +3,18 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cumulants.coproducts import coproduct, coproduct_left, coproduct_right
 from cumulants.errors import IncompleteTableError, InvalidFormError
 from cumulants.forms import (
+    CONV,
     COUNIT,
+    LEFT,
+    RIGHT,
     CharacterFromWords,
+    Conv,
     InfinitesimalFromWords,
     char_inverse,
     conv,
@@ -180,3 +187,90 @@ def test_incomplete_tables_surface_from_deep_evaluation():
     alpha = InfinitesimalFromWords({A: F(1)})
     with pytest.raises(IncompleteTableError):
         exp_star(alpha).eval_word(AA)
+
+
+# The per-term Fraction sum from the definition: the oracle for the integer
+# sum in `Conv._eval`.
+
+SPLITTERS = {CONV: coproduct, LEFT: coproduct_left, RIGHT: coproduct_right}
+
+
+def reference_conv(kind, f, g, u):
+    if u.is_unit:
+        if kind == CONV:
+            return f.eval(u) * g.eval(u)
+        if kind == LEFT:
+            return f.eval(u) if g is COUNIT else F(0)
+        return g.eval(u) if f is COUNIT else F(0)
+    total = F(0)
+    for (x, y), c in SPLITTERS[kind](u).items():
+        fx = f.eval(x)
+        if fx:
+            gy = g.eval(y)
+            if gy:
+                total += c * fx * gy
+    return total
+
+
+TWO_LETTER_WORDS = list(all_words(2, 4))
+TWO_LETTER_BARWORDS = list(all_barwords(2, 4, include_unit=True))
+
+
+@st.composite
+def word_tables(draw):
+    """Values drawn with signs from a small pool: zeros, negatives, large
+    denominators, and magnitudes that repeat, so that terms sharing a
+    denominator product cancel."""
+    pool = draw(
+        st.lists(
+            st.one_of(st.just(F(0)), st.fractions(max_denominator=10**6)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    magnitude = st.sampled_from(pool)
+    sign = st.sampled_from((1, -1))
+    return {w: draw(magnitude) * draw(sign) for w in TWO_LETTER_WORDS}
+
+
+def assert_conv_matches_reference(f, g):
+    for kind in (CONV, LEFT, RIGHT):
+        product = Conv(kind, f, g)
+        for u in TWO_LETTER_BARWORDS:
+            value = product.eval(u)
+            assert type(value) is F, (kind, u, value)
+            assert value == reference_conv(kind, f, g, u), (kind, u)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(word_tables(), word_tables())
+def test_conv_matches_the_per_term_fraction_sum(left_table, right_table):
+    phi = CharacterFromWords(left_table)
+    alpha = InfinitesimalFromWords(right_table)
+    for f, g in (
+        (phi, alpha),
+        (alpha, phi),
+        (phi, phi),
+        (phi - COUNIT, conv(alpha, phi)),
+        (alpha, COUNIT),
+        (COUNIT, alpha),
+    ):
+        assert_conv_matches_reference(f, g)
+
+
+def test_conv_cancelling_groups_and_vanishing_terms_give_fractions():
+    # on ab, f(a) g(b) and f(b) g(a) share the denominator 6 and cancel;
+    # f(ab) g(unit) is then the whole value, 0 or alone in its group
+    ab = Word((0, 1))
+    g = CharacterFromWords({A: F(1, 3), Word((1,)): F(-1, 3)})
+    for f_ab in (F(0), F(1, 5)):
+        f = InfinitesimalFromWords({A: F(1, 2), Word((1,)): F(1, 2), ab: f_ab})
+        assert reference_conv(CONV, f, g, lift(ab)) == f_ab
+        value = Conv(CONV, f, g).eval(lift(ab))
+        assert value == f_ab and type(value) is F
+    # every term vanishes: each leg pair has a unit leg on alpha * alpha
+    alpha = InfinitesimalFromWords(univariate_table(1, (5,)))
+    for kind in (CONV, LEFT, RIGHT):
+        for u in (UNIT, lift(A)):
+            value = Conv(kind, alpha, alpha).eval(u)
+            assert value == 0 and type(value) is F
