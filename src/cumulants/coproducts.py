@@ -17,39 +17,34 @@ On multi-factor bar-words each map splits the first factor its own way and
 multiplies by the full coproduct of the rest.  Both halves are undefined on
 the unit.
 
-All maps return shared, memoized LinComb values over pairs of bar-words
-(pairs of plain words for the reduced linearised variant), so callers must
-treat results as immutable.  The caches are unbounded, which is safe
-because inputs are degree-bounded in every pipeline.
-
-Every coefficient of coproduct, coproduct_left and coproduct_right is a
-positive int (a count of masks), the unit's included; `forms.Conv` relies on
-this to sum a product of forms over them in integers.
+All maps return plain dicts from a key to its positive int count: pairs of
+bar-words, pairs of plain words for the reduced linearised variant, and
+tuples of words for its iteration.  A count numbers the masks (or interval
+splits) that give the key, so no zero is ever stored and dict equality is
+equality of the sums.  The memoized maps return shared dicts, so callers
+must treat results as read-only.  The caches are unbounded, which is safe
+because inputs are degree-bounded in every pipeline.  `forms.Conv` relies
+on the int counts to sum a product of forms over them in integers.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .lincomb import LinComb
 from .words import UNIT, BarWord, Word, bar_concat, lift
 
 
-def split_product(s: LinComb, t: LinComb) -> LinComb:
-    """Componentwise bar-concatenation of two leg-pair combinations.
-
-    The factors must have positive coefficients, as the coproducts and their
-    halves do, so no sum cancels and no zero needs pruning.
-    """
+def split_product(s: dict, t: dict) -> dict:
+    """Componentwise bar-concatenation of two leg-pair count dicts."""
     acc: dict = {}
     for (x1, y1), c1 in s.items():
         for (x2, y2), c2 in t.items():
             key = (bar_concat(x1, x2), bar_concat(y1, y2))
             acc[key] = acc.get(key, 0) + c1 * c2
-    return LinComb._raw(acc)
+    return acc
 
 
-def _split(u: BarWord, split_first, first_mask: int, step: int) -> LinComb:
+def _split(u: BarWord, split_first, first_mask: int, step: int) -> dict:
     """split_first on the first factor of u times the coproduct of the rest.
 
     On a one-factor bar-word this is one (extracted letters, unextracted
@@ -75,19 +70,19 @@ def _split(u: BarWord, split_first, first_mask: int, step: int) -> LinComb:
             runs.append(Word(w[start:]))
         key = (lift(Word(taken)), BarWord(runs))
         acc[key] = acc.get(key, 0) + 1
-    return LinComb._raw(acc)
+    return acc
 
 
 @cache
-def coproduct(u: BarWord) -> LinComb:
+def coproduct(u: BarWord) -> dict:
     """The full coproduct; grouplike on the unit, multiplicative on factors."""
     if u.is_unit:
-        return LinComb.term((UNIT, UNIT), 1)
+        return {(UNIT, UNIT): 1}
     return _split(u, coproduct, 0, 1)
 
 
 @cache
-def coproduct_left(u: BarWord) -> LinComb:
+def coproduct_left(u: BarWord) -> dict:
     """Left half-coproduct: first factor split with position 1 extracted."""
     if u.is_unit:
         raise ValueError("the half-coproducts are undefined on the unit bar-word")
@@ -96,7 +91,7 @@ def coproduct_left(u: BarWord) -> LinComb:
 
 
 @cache
-def coproduct_right(u: BarWord) -> LinComb:
+def coproduct_right(u: BarWord) -> dict:
     """Right half-coproduct: first factor split with position 1 kept."""
     if u.is_unit:
         raise ValueError("the half-coproducts are undefined on the unit bar-word")
@@ -104,25 +99,31 @@ def coproduct_right(u: BarWord) -> LinComb:
     return _split(u, coproduct_right, 0, 2)
 
 
-def coproduct_reduced(u: BarWord) -> LinComb:
+def _without_unit_legs(pairs: dict) -> dict:
+    """The pairs whose legs are both non-unit: on a non-unit u the dropped
+    ones are u (x) unit and unit (x) u, each counted once."""
+    return {(x, y): c for (x, y), c in pairs.items() if x and y}
+
+
+def coproduct_reduced(u: BarWord) -> dict:
     """Coproduct with both unit-leg terms removed; undefined on the unit."""
     if u.is_unit:
         raise ValueError("the reduced coproduct is undefined on the unit bar-word")
-    return coproduct(u) - LinComb([((u, UNIT), 1), ((UNIT, u), 1)])
+    return _without_unit_legs(coproduct(u))
 
 
-def coproduct_left_reduced(u: BarWord) -> LinComb:
+def coproduct_left_reduced(u: BarWord) -> dict:
     """Left half with the u (x) unit term removed."""
-    return coproduct_left(u) - LinComb.term((u, UNIT))
+    return _without_unit_legs(coproduct_left(u))
 
 
-def coproduct_right_reduced(u: BarWord) -> LinComb:
+def coproduct_right_reduced(u: BarWord) -> dict:
     """Right half with the unit (x) u term removed."""
-    return coproduct_right(u) - LinComb.term((UNIT, u))
+    return _without_unit_legs(coproduct_right(u))
 
 
 @cache
-def reduced_linearised(w: Word) -> LinComb:
+def reduced_linearised(w: Word) -> dict:
     """Middle-interval extraction with single-word legs.
 
     Splits [1..n] into consecutive intervals I1, I2, I3 with I2 non-empty
@@ -137,11 +138,11 @@ def reduced_linearised(w: Word) -> LinComb:
                 continue
             key = (Word(w[:i] + w[j:]), Word(w[i:j]))
             acc[key] = acc.get(key, 0) + 1
-    return LinComb._raw(acc)
+    return acc
 
 
 @cache
-def iterated_reduced_left(w: Word, q: int) -> LinComb:
+def iterated_reduced_left(w: Word, q: int) -> dict:
     """(q-1)-fold left iteration of the reduced linearised coproduct.
 
     Keys are q-tuples of non-empty words; the interval extracted last sits
@@ -151,16 +152,12 @@ def iterated_reduced_left(w: Word, q: int) -> LinComb:
     if not 1 <= q <= n:
         raise ValueError(f"q must be between 1 and the degree {n}, got {q}")
     if q == 1:
-        return LinComb.term((w,))
+        return {(w,): 1}
     acc: dict = {}
     for (rest, extracted), c in reduced_linearised(w).items():
         if rest.degree < q - 1:
             continue
         for head, d in iterated_reduced_left(rest, q - 1).items():
             key = head + (extracted,)
-            value = acc.get(key, 0) + c * d
-            if value:
-                acc[key] = value
-            elif key in acc:
-                del acc[key]
-    return LinComb._raw(acc)
+            acc[key] = acc.get(key, 0) + c * d
+    return acc

@@ -36,7 +36,6 @@ from functools import cache
 from math import factorial, lcm, prod
 
 from .errors import IncompleteTableError
-from .lincomb import LinComb
 from .words import Word
 
 MAX_N = 12
@@ -480,8 +479,9 @@ def partition_sum(values, w: Word, family: str, weight: str = "one") -> Fraction
     return Fraction(total, scale * common**n)
 
 
-def monotone_tuple_lincomb(n: int, q: int, w: Word) -> LinComb:
-    """The formal sum of q-tuples of block subwords over monotone partitions.
+def monotone_tuple_counts(n: int, q: int, w: Word) -> dict:
+    """The formal sum of q-tuples of block subwords over monotone partitions,
+    as a dict from each tuple to its count.
 
     The j-th slot carries the subword at the block labelled j.  Used to
     cross-check the left-iterated reduced coproduct.
@@ -490,5 +490,5 @@ def monotone_tuple_lincomb(n: int, q: int, w: Word) -> LinComb:
     for _, order in enumerate_monotone(n, q):
         key = tuple(Word(w[p - 1] for p in block) for block in order)
         acc[key] = acc.get(key, 0) + 1
-    return LinComb(acc.items())
+    return acc
 

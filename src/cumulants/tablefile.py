@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import TableFormatError
 from .transforms import KINDS, CumulantTable
-from .words import Word, all_words
+from .words import Word, all_words, word_str
 
 _RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
 
@@ -56,10 +56,6 @@ def parse_rational(raw) -> Fraction:
     )
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def parse_word(text: str, generators: tuple[str, ...]) -> Word:
     """A word from its file spelling, against a fixed generator tuple."""
     if not isinstance(text, str) or not text:
@@ -78,12 +74,6 @@ def parse_word(text: str, generators: tuple[str, ...]) -> Word:
     raise TableFormatError(
         f"cannot read the word {text!r} over the generators {generators}"
     )
-
-
-def format_word(w: Word, generators: tuple[str, ...]) -> str:
-    names = [generators[i] for i in w]
-    joiner = "" if all(len(name) == 1 for name in generators) else "."
-    return joiner.join(names)
 
 
 def parse_table(text: str) -> CumulantTable:
@@ -137,7 +127,7 @@ def parse_table(text: str) -> CumulantTable:
 def render_table(table: CumulantTable) -> str:
     """Canonical JSON text for a table."""
     values = {
-        format_word(w, table.generators): format_rational(table.values[w])
+        word_str(w, table.generators): str(table.values[w])
         for w in all_words(table.n_letters, table.max_degree)
     }
     doc = {

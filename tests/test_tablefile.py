@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from cumulants import cli
 from cumulants.errors import IncompleteTableError, TableFormatError
 from cumulants.tablefile import (
-    format_word,
     normalize_kind,
     parse_rational,
     parse_table,
@@ -21,7 +20,7 @@ from cumulants.tablefile import (
     render_table,
 )
 from cumulants.transforms import KINDS, CumulantTable, convert_table, random_table
-from cumulants.words import Word
+from cumulants.words import Word, word_str
 
 GOOD = """{
   "kind": "moment",
@@ -85,8 +84,8 @@ def test_word_spellings():
     assert parse_word("a.b.a", gens) == Word((0, 1, 0))
     long_gens = ("x1", "x2")
     assert parse_word("x1.x2", long_gens) == Word((0, 1))
-    assert format_word(Word((0, 1, 0)), gens) == "aba"
-    assert format_word(Word((0, 1)), long_gens) == "x1.x2"
+    assert word_str(Word((0, 1, 0)), gens) == "aba"
+    assert word_str(Word((0, 1)), long_gens) == "x1.x2"
     with pytest.raises(TableFormatError):
         parse_word("x1x2", long_gens)
     with pytest.raises(TableFormatError):

@@ -332,6 +332,13 @@ FAULTS = {
     "half-left-swapped": _wrap(
         forms, "half_left", lambda real: lambda f, g: real(g, f)
     ),
+    "coproduct-left-at-3": _wrap(
+        transforms,
+        "coproduct",
+        lambda real: lambda u: (
+            transforms.coproduct_left(u) if u.degree == 3 else real(u)
+        ),
+    ),
 }
 
 CHECKS = (
@@ -445,6 +452,28 @@ def test_verify_report_under_an_injected_fault(fault, degree, generators, monkey
             for n in CHECKS
         ],
     }
+
+
+# The failing coalgebra checks under "coproduct-left-at-3", each pinned by
+# the `at <bar-word>` prefix of its detail; the rest of a mismatch detail
+# spells the two sides' coproduct values.
+COALGEBRA_FAILED_AT = {
+    "coassociativity": "at a|a|a",
+    "counit": "at a|a|a",
+    "half-splitting": "at a|a|a",
+}
+
+
+@pytest.mark.parametrize("degree,generators", [(3, 1), (4, 2)])
+def test_a_coproduct_fault_is_caught_at_its_first_bar_word(
+    degree, generators, monkeypatch
+):
+    FAULTS["coproduct-left-at-3"](monkeypatch)
+    results = verify_suite(degree, generators).results
+    assert [r.name for r in results] == CHECKS
+    failed = {r.name: r.detail.partition(": ")[0] for r in results if not r.passed}
+    assert failed == COALGEBRA_FAILED_AT
+    assert all(r.detail == "" for r in results if r.passed)
 
 
 def test_a_round_trip_disagreement_prints_the_whole_report(monkeypatch, capsys):
