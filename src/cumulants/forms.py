@@ -78,9 +78,6 @@ class Form:
     def __neg__(self) -> "Form":
         return Scale(Fraction(-1), self)
 
-    def __rmul__(self, c) -> "Form":
-        return Scale(Fraction(c), self)
-
 
 class Counit(Form):
     """e: 1 on the unit bar-word, 0 elsewhere."""
@@ -217,10 +214,6 @@ def half_left(f: Form, g: Form) -> Form:
 
 def half_right(f: Form, g: Form) -> Form:
     return Conv(RIGHT, f, g)
-
-
-def scale(c, f: Form) -> Form:
-    return Scale(c, f)
 
 
 def _require_infinitesimal(f: Form, what: str) -> None:

@@ -7,6 +7,11 @@ structural.  Enumerations are deterministic and bounded by MAX_N = 12 for
 the non-crossing families.  `transforms.CONVERT_DEGREE_CAP` is MAX_N, so
 `convert` requests degree 12 itself: NC(12) holds 208 012 partitions.
 
+The nesting forest of a non-crossing partition is one parent list, the
+index in `blocks` of each block's parent (-1 for a root), from one scan
+over the positions (`_forest`); `tree_factorial`, the labelling weight and
+`linear_extensions` all read it.
+
 The non-crossing enumerators build each partition from the block of 1 and
 the partitions of the gaps around it, and the same recursion gives its tree
 factorial tau!, which the enumerated SetPartition carries; an interval
@@ -48,7 +53,7 @@ class SetPartition:
     None when it was built by hand; it takes no part in comparisons.
     """
 
-    __slots__ = ("n", "blocks", "tau", "_hash")
+    __slots__ = ("n", "blocks", "tau")
 
     def __init__(self, n: int, blocks):
         cleaned = tuple(sorted(tuple(sorted(b)) for b in blocks))
@@ -62,7 +67,6 @@ class SetPartition:
         self.n = n
         self.blocks = cleaned
         self.tau = None
-        self._hash = hash((n, cleaned))
 
     @classmethod
     def _trusted(cls, n: int, blocks: tuple, tau: int) -> "SetPartition":
@@ -73,7 +77,6 @@ class SetPartition:
         p.n = n
         p.blocks = blocks
         p.tau = tau
-        p._hash = hash((n, blocks))
         return p
 
     @property
@@ -88,7 +91,7 @@ class SetPartition:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.blocks))
 
     def __lt__(self, other: "SetPartition") -> bool:
         return (self.n, len(self.blocks), self.blocks) < (
@@ -104,14 +107,16 @@ class SetPartition:
         return f"SetPartition({self.n}, {self})"
 
 
-def _nesting_parents(p: SetPartition):
+def _forest(p: SetPartition) -> list[int]:
     """Index in p.blocks of each block's parent in the nesting forest (-1
-    for a root), or None when p is crossing.
+    for a root); crossing input is rejected.
 
-    One scan over the positions with a stack of the blocks opened and not
-    yet closed.  Blocks cross exactly when a block is revisited while a
-    block opened after it is still open; otherwise the open blocks are
-    nested, and the innermost one is the parent of a block that opens.
+    V is a child of W when W is the innermost block with min W < min V and
+    max V < max W.  One scan over the positions with a stack of the blocks
+    opened and not yet closed.  Blocks cross exactly when a block is
+    revisited while a block opened after it is still open; otherwise the
+    open blocks are nested, and the innermost one is the parent of a block
+    that opens.
     """
     owner = [0] * (p.n + 1)
     for i, block in enumerate(p.blocks):
@@ -127,30 +132,12 @@ def _nesting_parents(p: SetPartition):
             if x != block[-1]:
                 stack.append(i)
         elif stack[-1] != i:
-            return None
+            raise ValueError(
+                f"partition {p} is crossing; nesting needs non-crossing input"
+            )
         elif x == block[-1]:
             stack.pop()
     return parents
-
-
-def _forest(p: SetPartition) -> list[int]:
-    parents = _nesting_parents(p)
-    if parents is None:
-        raise ValueError(f"partition {p} is crossing; nesting needs non-crossing input")
-    return parents
-
-
-def is_noncrossing(p: SetPartition) -> bool:
-    return _nesting_parents(p) is not None
-
-
-def is_interval(p: SetPartition) -> bool:
-    return all(b[-1] - b[0] + 1 == len(b) for b in p.blocks)
-
-
-def is_irreducible(p: SetPartition) -> bool:
-    """1 and n sit in the same block (and the partition is non-crossing)."""
-    return p.n in p.blocks[0] and is_noncrossing(p)
 
 
 def _check_n(n: int) -> None:
@@ -251,22 +238,6 @@ def enumerate_interval(n: int) -> list[SetPartition]:
     return out
 
 
-def nesting_children(p: SetPartition) -> dict:
-    """Children lists of the nesting forest of a non-crossing partition.
-
-    V is a child of W when W is the innermost block with
-    min W < min V and max V < max W.  Keys are blocks, plus None for the
-    roots.  Crossing input is rejected.
-    """
-    parents = _forest(p)
-    children: dict = {None: []}
-    for b in p.blocks:
-        children[b] = []
-    for b, i in zip(p.blocks, parents):
-        children[p.blocks[i] if i >= 0 else None].append(b)
-    return children
-
-
 def tree_factorial(p: SetPartition) -> int:
     """Product over blocks of the size of the nesting subtree below them."""
     parents = _forest(p)
@@ -292,24 +263,30 @@ def linear_extensions(p: SetPartition):
     Yields tuples of blocks; labels increase inward, so the last block is
     always one of the innermost (an interval).
     """
-    children = nesting_children(p)
+    blocks = p.blocks
+    # Children as block indices, in index order, which is the order of the
+    # blocks themselves: they are sorted by minimum.
+    roots: list[int] = []
+    children: list[list[int]] = [[] for _ in blocks]
+    for i, parent in enumerate(_forest(p)):
+        (children[parent] if parent >= 0 else roots).append(i)
     placed: list = []
-    available = sorted(children[None])
+    available = roots
 
     def grow():
-        if len(placed) == p.num_blocks:
+        if len(placed) == len(blocks):
             yield tuple(placed)
             return
-        for i, block in enumerate(list(available)):
-            available.pop(i)
-            placed.append(block)
-            added = sorted(children[block])
+        for k, i in enumerate(list(available)):
+            available.pop(k)
+            placed.append(blocks[i])
+            added = children[i]
             available.extend(added)
             yield from grow()
             for _ in added:
                 available.pop()
             placed.pop()
-            available.insert(i, block)
+            available.insert(k, i)
 
     yield from grow()
 

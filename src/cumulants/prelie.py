@@ -2,8 +2,10 @@
 Magnus expansion with its inverse.
 
 An InfChar stores the values of an infinitesimal character on every word up
-to a degree bound; off the single-word part the character is zero by
-definition.
+to a degree bound, as the dict `table`; off the single-word part the
+character is zero by definition.  The module imports only `words`, so the
+forms that check it share none of its code: verify_suite and the tests wrap
+`table` in `forms.InfinitesimalFromWords`.
 
 The pre-Lie product a |> b = a > b - b < a pairs its operands over the half
 coproducts, 2^(n-1) extractions per word of degree n.  Both operands vanish
@@ -63,7 +65,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .forms import InfinitesimalFromWords
 from .words import Word, total_table
 
 _ZERO = Fraction(0)
@@ -103,20 +104,10 @@ class InfChar:
             lambda w: f"infinitesimal character table is missing {w!r}",
         )
 
-    def value(self, w: Word) -> Fraction:
-        return self.table[w]
-
-    def as_form(self) -> InfinitesimalFromWords:
-        return InfinitesimalFromWords(self.table)
-
-    def scale(self, c) -> "InfChar":
-        c = Fraction(c)
-        return InfChar(
-            self.n_letters, self.max_degree, {w: c * v for w, v in self.table.items()}
-        )
-
     def __neg__(self) -> "InfChar":
-        return self.scale(-1)
+        return InfChar(
+            self.n_letters, self.max_degree, {w: -v for w, v in self.table.items()}
+        )
 
     def __eq__(self, other) -> bool:
         return (

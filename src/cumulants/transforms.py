@@ -108,14 +108,6 @@ class CumulantTable:
     def n_letters(self) -> int:
         return len(self.generators)
 
-    def value(self, w: Word) -> Fraction:
-        try:
-            return self.values[w]
-        except KeyError:
-            raise IncompleteTableError(
-                f"table has no value for {word_str(w, self.generators)!r}", word=w
-            ) from None
-
     def truncated(self, max_degree: int) -> "CumulantTable":
         if max_degree == self.max_degree:
             return self
@@ -185,7 +177,7 @@ def _solve_free(m: CumulantTable) -> dict[Word, Fraction]:
             if y.is_unit:
                 continue
             rest += c * kappa[x[0]] * phi.eval(y)
-        kappa[w] = m.value(w) - rest
+        kappa[w] = m.values[w] - rest
     return kappa
 
 
@@ -196,8 +188,8 @@ def _solve_boolean(m: CumulantTable) -> dict[Word, Fraction]:
     for w in _words_of(m):
         rest = Fraction(0)
         for j in range(1, len(w)):
-            rest += beta[w[:j]] * m.value(w[j:])
-        beta[w] = m.value(w) - rest
+            rest += beta[w[:j]] * m.values[w[j:]]
+        beta[w] = m.values[w] - rest
     return beta
 
 
@@ -275,9 +267,9 @@ def cumulants_to_moments(c: CumulantTable) -> CumulantTable:
 # cumulants -> cumulants
 # ---------------------------------------------------------------------------
 
-
-def _free_to_monotone(a):
-    return prelie.magnus(a)
+# Free to monotone is Omega' = magnus and monotone to free is W = w_map.  The
+# other four conjugate them by the sign; they read prelie.magnus and
+# prelie.w_map when called, so a rebinding of either reaches every route.
 
 
 def _free_to_boolean(a):
@@ -292,20 +284,16 @@ def _boolean_to_free(a):
     return prelie.w_map(-prelie.magnus(-a))
 
 
-def _monotone_to_free(a):
-    return prelie.w_map(a)
-
-
 def _monotone_to_boolean(a):
     return -prelie.w_map(-a)
 
 
 _CONVERSIONS = {
-    ("free", "monotone"): _free_to_monotone,
+    ("free", "monotone"): prelie.magnus,
     ("free", "boolean"): _free_to_boolean,
     ("boolean", "monotone"): _boolean_to_monotone,
     ("boolean", "free"): _boolean_to_free,
-    ("monotone", "free"): _monotone_to_free,
+    ("monotone", "free"): prelie.w_map,
     ("monotone", "boolean"): _monotone_to_boolean,
 }
 
@@ -624,7 +612,7 @@ def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport
 
     x = rand_inf()
     grown = forms.exp_left(x)
-    shrunk = forms.exp_right(forms.scale(-1, x))
+    shrunk = forms.exp_right(-x)
     check("shuffle-inverse", inverse_pair(shrunk, grown))
 
     for name, exp_fn, log_fn in (
@@ -664,17 +652,19 @@ def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport
     om = prelie.magnus(seed_char)
     detail = _first_mismatch(
         word_bars,
-        forms.exp_star(om.as_form()).eval,
-        forms.exp_left(seed_char.as_form()).eval,
+        forms.exp_star(forms.InfinitesimalFromWords(om.table)).eval,
+        forms.exp_left(forms.InfinitesimalFromWords(seed_char.table)).eval,
     )
     check("magnus-fixed-point", detail)
 
     w_of = prelie.w_map(seed_char)
-    star = forms.exp_star(seed_char.as_form()).eval
-    detail = _first_mismatch(word_bars, forms.exp_left(w_of.as_form()).eval, star)
+    star = forms.exp_star(forms.InfinitesimalFromWords(seed_char.table)).eval
+    left = forms.exp_left(forms.InfinitesimalFromWords(w_of.table))
+    detail = _first_mismatch(word_bars, left.eval, star)
     if detail is None:
         anti = -prelie.w_map(-seed_char)
-        detail = _first_mismatch(word_bars, forms.exp_right(anti.as_form()).eval, star)
+        right = forms.exp_right(forms.InfinitesimalFromWords(anti.table))
+        detail = _first_mismatch(word_bars, right.eval, star)
     check("interchange", detail)
 
     # --- route equivalence on random tables ----------------------------------
@@ -700,7 +690,7 @@ def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport
             )
         elif detail is None:
             om = _CONVERSIONS[(kind, "monotone")](_infchar(table))
-            via_magnus = _MOMENT_EXP["monotone"](om.as_form())
+            via_magnus = _MOMENT_EXP["monotone"](forms.InfinitesimalFromWords(om.table))
             detail = _first_mismatch(words, via_magnus.eval_word, moments.eval_word)
         check(f"route-{kind}", detail)
 

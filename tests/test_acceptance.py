@@ -154,11 +154,8 @@ def test_criterion_3_free_and_boolean_triple_agreement():
     for n_letters, degree in ((1, 6), (2, 5)):
         kappa = random_table("free", n_letters, degree, seed=41)
         fixed_point = forms.exp_left(forms.InfinitesimalFromWords(kappa.values))
-        group = forms.exp_star(
-            prelie.magnus(
-                prelie.InfChar(n_letters, degree, kappa.values)
-            ).as_form()
-        )
+        omega = prelie.magnus(prelie.InfChar(n_letters, degree, kappa.values))
+        group = forms.exp_star(forms.InfinitesimalFromWords(omega.table))
         for w in all_words(n_letters, degree):
             lattice = oracle_partition_sum(kappa.values, w, "nc")
             assert fixed_point.eval_word(w) == lattice
@@ -166,9 +163,8 @@ def test_criterion_3_free_and_boolean_triple_agreement():
 
         beta = random_table("boolean", n_letters, degree, seed=43)
         fixed_point = forms.exp_right(forms.InfinitesimalFromWords(beta.values))
-        group = forms.exp_star(
-            (-prelie.magnus(-prelie.InfChar(n_letters, degree, beta.values))).as_form()
-        )
+        omega = -prelie.magnus(-prelie.InfChar(n_letters, degree, beta.values))
+        group = forms.exp_star(forms.InfinitesimalFromWords(omega.table))
         for w in all_words(n_letters, degree):
             lattice = oracle_partition_sum(beta.values, w, "interval")
             assert fixed_point.eval_word(w) == lattice

@@ -39,3 +39,21 @@ def test_the_package_imports_only_the_standard_library():
                 if top != "cumulants" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}: {name}")
     assert foreign == []
+
+
+def _relative_imports(module: str) -> set[str]:
+    """The package modules that `module` imports by relative import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+    return found
+
+
+def test_the_routes_share_no_code_that_computes_values():
+    # The word-table kernels (prelie), the reference forms (forms) and the
+    # partition sums (partitions) meet only in words and tables.
+    assert _relative_imports("prelie") == {"words"}
+    assert not _relative_imports("forms") & {"prelie", "partitions"}
+    assert not _relative_imports("partitions") & {"forms", "prelie", "coproducts"}

@@ -21,12 +21,8 @@ from cumulants.partitions import (
     enumerate_irreducible_nc,
     enumerate_monotone,
     enumerate_nc,
-    is_interval,
-    is_irreducible,
-    is_noncrossing,
     linear_extensions,
     monotone_labelling_count,
-    nesting_children,
     partition_sum,
     tree_factorial,
 )
@@ -225,6 +221,19 @@ def test_linear_extensions_put_parents_first():
     p = part(6, (1, 6), (2, 5), (3, 4))
     exts = list(linear_extensions(p))
     assert exts == [((1, 6), (2, 5), (3, 4))]
+    # the sequence too: siblings by minimum, a placed block's children
+    # after the blocks already available
+    siblings = part(6, (1, 6), (2, 3), (4, 5))
+    assert list(linear_extensions(siblings)) == [
+        ((1, 6), (2, 3), (4, 5)),
+        ((1, 6), (4, 5), (2, 3)),
+    ]
+    roots = part(5, (1, 4), (2, 3), (5,))
+    assert list(linear_extensions(roots)) == [
+        ((1, 4), (5,), (2, 3)),
+        ((1, 4), (2, 3), (5,)),
+        ((5,), (1, 4), (2, 3)),
+    ]
 
 
 def test_enumerate_monotone_total_counts():
@@ -325,6 +334,34 @@ def _crossing_pair(a, b):
 
 def _pairwise_noncrossing(p):
     return not any(_crossing_pair(a, b) for a, b in itertools.combinations(p.blocks, 2))
+
+
+def is_noncrossing(p):
+    """The nesting scan's verdict: the forest of a crossing partition is refused."""
+    try:
+        partitions._forest(p)
+    except ValueError:
+        return False
+    return True
+
+
+def is_interval(p):
+    return all(b[-1] - b[0] + 1 == len(b) for b in p.blocks)
+
+
+def is_irreducible(p):
+    """1 and n sit in the same block (and the partition is non-crossing)."""
+    return p.n in p.blocks[0] and is_noncrossing(p)
+
+
+def nesting_children(p):
+    """Children lists of the nesting forest, keyed by block, None for the
+    roots, read off the parent indices of `partitions._forest`."""
+    parents = partitions._forest(p)
+    children = {None: [], **{b: [] for b in p.blocks}}
+    for b, i in zip(p.blocks, parents):
+        children[p.blocks[i] if i >= 0 else None].append(b)
+    return children
 
 
 def _innermost_cover(p, v):

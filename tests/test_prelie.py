@@ -35,13 +35,18 @@ def sub(a, b):
     return add(a, -b)
 
 
+def scaled(c, a):
+    """c a, word by word."""
+    return InfChar(a.n_letters, a.max_degree, {w: c * v for w, v in a.table.items()})
+
+
 def zero(n_letters, max_degree):
     return InfChar(n_letters, max_degree, dict.fromkeys(all_words(n_letters, max_degree), F(0)))
 
 
 def form_triangle(a, b):
     """a > b - b < a over the full half coproducts, from forms."""
-    fa, fb = a.as_form(), b.as_form()
+    fa, fb = forms.InfinitesimalFromWords(a.table), forms.InfinitesimalFromWords(b.table)
     form = forms.half_right(fa, fb) - forms.half_left(fb, fa)
     return InfChar(a.n_letters, a.max_degree, {w: form.eval_word(w) for w in a.table})
 
@@ -52,12 +57,12 @@ def fixed_point_magnus(a):
     om = a
     for _ in range(a.max_degree + 1):
         iterate = a
-        new = a.scale(bernoulli(0))
+        new = scaled(bernoulli(0), a)
         for m in range(1, a.max_degree):
             iterate = form_triangle(om, iterate)
             b_m = bernoulli(m)
             if b_m:
-                new = add(new, iterate.scale(b_m / factorial(m)))
+                new = add(new, scaled(b_m / factorial(m), iterate))
         if new == om:
             return om
         om = new
@@ -96,32 +101,32 @@ def test_infchar_requires_total_tables():
 
 def test_infchar_arithmetic():
     a = univariate(2, (1, 2))
-    assert (-a).value(Word((0,))) == -1
+    assert (-a).table[Word((0,))] == -1
     assert -(-a) == a
-    assert a.scale(F(1, 2)).value(Word((0, 0))) == 1
+    assert scaled(F(1, 2), a).table[Word((0, 0))] == 1
 
 
 def test_triangle_cube_value():
     # frozen: (a > a) - (a < a) on aaa is 2 k1 k2 - 3 k1 k2 = -k1 k2
     a = univariate(3, (2, 3, 5))
-    assert triangle(a, a).value(Word((0, 0, 0))) == -(2 * 3)
+    assert triangle(a, a).table[Word((0, 0, 0))] == -(2 * 3)
 
 
 def test_triangle_degree_one_vanishes():
     a = univariate(3, (2, 3, 5))
-    assert triangle(a, a).value(Word((0,))) == 0
+    assert triangle(a, a).table[Word((0,))] == 0
 
 
 def test_magnus_cube_value():
     # frozen: Omega(kappa)(a^3) = k3 + k1 k2 / 2
     a = univariate(3, (2, 3, 5))
-    assert magnus(a).value(Word((0, 0, 0))) == F(5) + F(2 * 3, 2)
+    assert magnus(a).table[Word((0, 0, 0))] == F(5) + F(2 * 3, 2)
 
 
 def test_w_cube_value():
     # frozen: W(rho)(a^3) = h3 - h1 h2 / 2
     a = univariate(3, (2, 3, 5))
-    assert w_map(a).value(Word((0, 0, 0))) == F(5) - F(2 * 3, 2)
+    assert w_map(a).table[Word((0, 0, 0))] == F(5) - F(2 * 3, 2)
 
 
 def test_magnus_and_w_are_mutually_inverse():
@@ -188,7 +193,7 @@ EXPONENTIALS = [
 @given(zeros=st.sampled_from([0.2, 0.8]), data=st.data())
 def test_exponential_tables_equal_the_forms(kernel, exponential, n_letters, degree, zeros, data):
     a = data.draw(tables(n_letters, degree, zeros=zeros))
-    form = exponential(a.as_form())
+    form = exponential(forms.InfinitesimalFromWords(a.table))
     got = kernel(a.table)
     assert list(got) == list(a.table)
     assert got == {w: form.eval_word(w) for w in a.table}

@@ -42,7 +42,7 @@ def test_parse_good_file():
     t = parse_table(GOOD)
     assert t.kind == "moment"
     assert t.generators == ("a", "b")
-    assert t.value(Word((0, 1))) == F(-1, 2)
+    assert t.values[Word((0, 1))] == F(-1, 2)
 
 
 def test_render_is_byte_stable():

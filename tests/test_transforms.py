@@ -41,7 +41,7 @@ SEMICIRCLE = univariate_moments((0, 1, 0, 2, 0, 5))
 def test_table_construction_and_validation():
     t = univariate_moments((1, 2, 3))
     assert t.n_letters == 1
-    assert t.value(Word((0, 0))) == 2
+    assert t.values[Word((0, 0))] == 2
     with pytest.raises(IncompleteTableError):
         CumulantTable("moment", 1, 2, {Word((0,)): F(1)})
     with pytest.raises(ValueError):
