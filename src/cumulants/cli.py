@@ -27,6 +27,7 @@ from .errors import (
 )
 from .partitions import (
     _FAMILIES,
+    block_str,
     enumerate_monotone,
     monotone_labelling_count,
     tree_factorial,
@@ -173,17 +174,13 @@ def _cmd_convert(args) -> int:
 def _cmd_verify(args) -> int:
     degree = args.degree
     if degree is None:
-        degree = min(default_max_degree(args.generators), VERIFY_DEGREE_CAP)
+        degree = default_max_degree(args.generators)
     report = verify_suite(degree, args.generators, args.seed)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print("\n".join(report.lines()))
     return 0 if report.ok else 3
-
-
-def _fmt_block(block) -> str:
-    return "{" + ",".join(str(x) for x in block) + "}"
 
 
 def _cmd_partitions(args) -> int:
@@ -197,24 +194,20 @@ def _cmd_partitions(args) -> int:
             (pair[1] for q in range(1, n + 1) for pair in enumerate_monotone(n, q)),
             key=lambda order: (len(order), order),
         )
-        lines = [" < ".join(_fmt_block(b) for b in order) for order in orders]
+        lines = [" < ".join(map(block_str, order)) for order in orders]
         items: list = lines
     else:
         if not 1 <= n <= _PARTITION_CAP:
             return _fail(f"--n must be 1..{_PARTITION_CAP}")
         ps = sorted(_FAMILIES[args.family](n))
         if args.stats:
-            lines = [
-                f"{p}  tau!={tree_factorial(p)}  m={monotone_labelling_count(p)}"
-                for p in ps
+            rows = [
+                (str(p), tree_factorial(p), monotone_labelling_count(p)) for p in ps
             ]
+            lines = [f"{p}  tau!={tau}  m={m}" for p, tau, m in rows]
             items = [
-                {
-                    "partition": str(p),
-                    "tree_factorial": tree_factorial(p),
-                    "labellings": monotone_labelling_count(p),
-                }
-                for p in ps
+                {"partition": p, "tree_factorial": tau, "labellings": m}
+                for p, tau, m in rows
             ]
         else:
             lines = [str(p) for p in ps]
@@ -244,19 +237,13 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 0 if code is None else 1
     try:
         return args.run(args)
-    except TableFormatError as exc:
-        return _fail(str(exc))
     except IncompleteTableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RouteDisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InvalidFormError as exc:
-        return _fail(str(exc))
-    except ValueError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+    except (TableFormatError, InvalidFormError, ValueError, OSError) as exc:
         return _fail(str(exc))
 
 

@@ -26,8 +26,12 @@ Conventions, with e the counit (1 on the unit bar-word, else 0):
 `Conv._eval` is the one loop over a coproduct here.  It reads every operand
 value through `Form.eval` and sums the terms c * f(x) * g(y) in integers,
 one numerator sum per denominator product (the coproduct coefficients c are
-ints), then builds one Fraction per group.  It shares no code with the
-word-table kernels in `prelie`, which `verify` checks it against.
+ints), then builds one Fraction per group.  The full coproduct of the unit
+is the one term 1 (x) 1, so the loop itself gives f(1) * g(1) there; only
+the half convolutions, undefined on the unit, take the rule above.  It
+shares no code with the word-table kernels in `prelie`, which `verify`
+checks it against.  Negation, the only scaling the package needs, is the
+node `Neg`, behind `-f` and `f - g`.
 
 Preconditions are checked at construction: the exponentials require an
 infinitesimal operand (vanishing on the unit), the logarithms and the
@@ -73,10 +77,10 @@ class Form:
         return Add(self, other)
 
     def __sub__(self, other: "Form") -> "Form":
-        return Add(self, Scale(Fraction(-1), other))
+        return Add(self, Neg(other))
 
     def __neg__(self) -> "Form":
-        return Scale(Fraction(-1), self)
+        return Neg(self)
 
 
 class Counit(Form):
@@ -147,16 +151,15 @@ class Add(Form):
         return self.f.eval(u) + self.g.eval(u)
 
 
-class Scale(Form):
-    __slots__ = ("c", "f")
+class Neg(Form):
+    __slots__ = ("f",)
 
-    def __init__(self, c, f: Form):
+    def __init__(self, f: Form):
         super().__init__()
-        self.c = Fraction(c)
         self.f = f
 
     def _eval(self, u):
-        return self.c * self.f.eval(u)
+        return -self.f.eval(u)
 
 
 CONV = "conv"
@@ -180,9 +183,7 @@ class Conv(Form):
         self.g = g
 
     def _eval(self, u):
-        if u.is_unit:
-            if self.kind == CONV:
-                return self.f.eval(u) * self.g.eval(u)
+        if u.is_unit and self.kind != CONV:
             if self.kind == LEFT:
                 return self.f.eval(u) if isinstance(self.g, Counit) else _ZERO
             return self.g.eval(u) if isinstance(self.f, Counit) else _ZERO

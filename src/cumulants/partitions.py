@@ -14,11 +14,15 @@ over the positions (`_forest`); `tree_factorial`, the labelling weight and
 
 The non-crossing enumerators build each partition from the block of 1 and
 the partitions of the gaps around it, and the same recursion gives its tree
-factorial tau!, which the enumerated SetPartition carries; an interval
-partition has tau! = 1.  The 1/tau! weights read that value, so no
-partition is scanned again for its nesting forest; `tree_factorial` stays
-the forest scan, the independent definition, and weighs a partition built
-by hand.
+factorial tau!, which the enumerated SetPartition carries.  The recursion
+is two module-level functions, `_grow` and `_gap`, that share one memo dict
+per enumeration: every gap is an interval, partitioned once and read by
+every partition around it, and the memo goes when the enumeration does.
+Interval partitions are built one per composition of n, from
+`words.compositions`, and have tau! = 1.  The 1/tau! weights read the
+recorded value, so no partition is scanned again for its nesting forest;
+`tree_factorial` stays the forest scan, the independent definition, and
+weighs a partition built by hand.
 
 `partition_sum` enumerates and weighs each family once per (degree, family,
 weight) and keeps the result as a shape: the distinct blocks as 0-based
@@ -41,9 +45,14 @@ from functools import cache
 from math import factorial, lcm, prod
 
 from .errors import IncompleteTableError
-from .words import Word
+from .words import Word, compositions
 
 MAX_N = 12
+
+
+def block_str(block) -> str:
+    """A block as its positions in braces: {1,3}."""
+    return "{" + ",".join(map(str, block)) + "}"
 
 
 class SetPartition:
@@ -101,7 +110,7 @@ class SetPartition:
         )
 
     def __str__(self) -> str:
-        return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
+        return "".join(map(block_str, self.blocks))
 
     def __repr__(self) -> str:
         return f"SetPartition({self.n}, {self})"
@@ -159,54 +168,45 @@ def _nc_blocks(n: int, closed: bool = False):
     tau = (1 + k_inner) * prod(tau of the inner gaps) * tau(trailing gap),
     where k_inner counts the blocks of the inner gaps.  With `closed` the
     block of 1 also holds n, which gives the irreducible partitions without
-    building the others.  Every gap is an interval, so each one is
-    partitioned once per call and its records shared by the partitions
-    around it; they are dropped when the enumeration ends.
+    building the others.
     """
-    gaps: dict = {}
+    return _grow({}, 1, n + 1, closed)
 
-    def gap(lo: int, hi: int) -> tuple:
-        # the records of lo..hi-1 as two parallel tuples, blocks and tau: a
-        # pair per record would hold about 5 MB more at n = 12
-        key = (lo, hi)
-        parts = gaps.get(key)
-        if parts is None:
-            parts = gaps[key] = tuple(zip(*grow(lo, hi, False)))
-        return parts
 
-    def grow(first: int, stop: int, closed: bool):
-        # the records of first..stop-1
-        if first >= stop:
-            yield (), 1
-            return
-        rest = range(first + 1, stop)
-        free, forced = (rest[:-1], (stop - 1,)) if closed and rest else (rest, ())
-        for r in range(len(free) + 1):
-            for chosen in itertools.combinations(free, r):
-                block = (first,) + chosen + forced
-                # block with each choice of its subtree, as (blocks, product
-                # of the inner gaps' tau) while the inner gaps are filled in,
-                # then as (blocks, tau of the subtree)
-                trees = [((block,), 1)]
-                for lo, hi in zip(block, block[1:]):
-                    if hi > lo + 1:
-                        trees = [
-                            (below + inner, tau * inner_tau)
-                            for below, tau in trees
-                            for inner, inner_tau in zip(*gap(lo + 1, hi))
-                        ]
-                trees = [(below, len(below) * tau) for below, tau in trees]
-                trailing = gap(block[-1] + 1, stop)
-                for below, tau in trees:
-                    for after, after_tau in zip(*trailing):
-                        yield below + after, tau * after_tau
+def _gap(gaps: dict, lo: int, hi: int) -> tuple:
+    """The records of lo..hi-1, kept in the memo, as parallel tuples of
+    blocks and of tau: a pair per record would hold about 5 MB more at n = 12."""
+    if (lo, hi) not in gaps:
+        gaps[lo, hi] = tuple(zip(*_grow(gaps, lo, hi, False)))
+    return gaps[lo, hi]
 
-    # The two closures refer to each other, so without the clear the records
-    # would outlive the enumeration until the cyclic collector runs.
-    try:
-        yield from grow(1, n + 1, closed)
-    finally:
-        gaps.clear()
+
+def _grow(gaps: dict, first: int, stop: int, closed: bool):
+    """The records of first..stop-1; see _nc_blocks."""
+    if first >= stop:
+        yield (), 1
+        return
+    rest = range(first + 1, stop)
+    free, forced = (rest[:-1], (stop - 1,)) if closed and rest else (rest, ())
+    for r in range(len(free) + 1):
+        for chosen in itertools.combinations(free, r):
+            block = (first,) + chosen + forced
+            # block with each choice of its subtree, as (blocks, product of
+            # the inner gaps' tau) while the inner gaps are filled in, then
+            # as (blocks, tau of the subtree)
+            trees = [((block,), 1)]
+            for lo, hi in zip(block, block[1:]):
+                if hi > lo + 1:
+                    trees = [
+                        (below + inner, tau * inner_tau)
+                        for below, tau in trees
+                        for inner, inner_tau in zip(*_gap(gaps, lo + 1, hi))
+                    ]
+            trees = [(below, len(below) * tau) for below, tau in trees]
+            trailing = _gap(gaps, block[-1] + 1, stop)
+            for below, tau in trees:
+                for after, after_tau in zip(*trailing):
+                    yield below + after, tau * after_tau
 
 
 def enumerate_nc(n: int) -> list[SetPartition]:
@@ -225,16 +225,11 @@ def enumerate_interval(n: int) -> list[SetPartition]:
     """Partitions into consecutive blocks, one per composition of n."""
     _check_n(n)
     out = []
-    for cuts in itertools.product((False, True), repeat=n - 1):
-        blocks = []
-        start = 1
-        for k, cut in enumerate(cuts, start=2):
-            if cut:
-                blocks.append(tuple(range(start, k)))
-                start = k
-        blocks.append(tuple(range(start, n + 1)))
+    for parts in compositions(n):
+        cuts = (0, *itertools.accumulate(parts))
+        blocks = tuple(tuple(range(a + 1, b + 1)) for a, b in zip(cuts, cuts[1:]))
         # no block nests in another, so the tree factorial is 1
-        out.append(SetPartition._trusted(n, tuple(blocks), 1))
+        out.append(SetPartition._trusted(n, blocks, 1))
     return out
 
 
@@ -270,25 +265,16 @@ def linear_extensions(p: SetPartition):
     children: list[list[int]] = [[] for _ in blocks]
     for i, parent in enumerate(_forest(p)):
         (children[parent] if parent >= 0 else roots).append(i)
-    placed: list = []
-    available = roots
 
-    def grow():
-        if len(placed) == len(blocks):
-            yield tuple(placed)
-            return
-        for k, i in enumerate(list(available)):
-            available.pop(k)
-            placed.append(blocks[i])
-            added = children[i]
-            available.extend(added)
-            yield from grow()
-            for _ in added:
-                available.pop()
-            placed.pop()
-            available.insert(k, i)
+    def grow(available: list, placed: tuple):
+        # each available block next, its children joining the rest after it
+        if not available:
+            yield placed
+        for k, i in enumerate(available):
+            rest = available[:k] + available[k + 1 :] + children[i]
+            yield from grow(rest, placed + (blocks[i],))
 
-    yield from grow()
+    yield from grow(roots, ())
 
 
 def enumerate_monotone(n: int, q: int) -> list[tuple[SetPartition, tuple]]:

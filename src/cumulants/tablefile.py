@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import TableFormatError
 from .transforms import KINDS, CumulantTable
-from .words import Word, all_words, word_str
+from .words import Word, word_str
 
 _RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
 
@@ -76,10 +76,20 @@ def parse_word(text: str, generators: tuple[str, ...]) -> Word:
     )
 
 
+def _unique_keys(pairs) -> dict:
+    # json.loads would keep the last of two equal keys silently
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise TableFormatError(f"the key {key!r} appears twice in one object")
+        doc[key] = value
+    return doc
+
+
 def parse_table(text: str) -> CumulantTable:
     """A table from JSON text; strict about shape, totality checked last."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise TableFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError:
@@ -126,10 +136,8 @@ def parse_table(text: str) -> CumulantTable:
 
 def render_table(table: CumulantTable) -> str:
     """Canonical JSON text for a table."""
-    values = {
-        word_str(w, table.generators): str(table.values[w])
-        for w in all_words(table.n_letters, table.max_degree)
-    }
+    # total_table built the values in all_words order, the canonical one
+    values = {word_str(w, table.generators): str(v) for w, v in table.values.items()}
     doc = {
         "kind": table.kind,
         "generators": list(table.generators),

@@ -120,6 +120,25 @@ def test_convert_deeply_nested_json(text, tmp_path, capsys):
     assert captured.err == "error: not valid JSON: nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('"aa": "1",', '"aa": "1", "aa": "5",', "aa"),
+        ('"kind": "moment",', '"kind": "free", "kind": "moment",', "kind"),
+    ],
+    ids=["word", "top-level-key"],
+)
+def test_convert_refuses_a_key_given_twice(old, new, key, tmp_path, capsys):
+    # Without the check the last value wins and the conversion exits 0.
+    path = tmp_path / "twice.json"
+    path.write_text(SEMI.replace(old, new), encoding="utf-8")
+    code = main(["convert", "-i", str(path), "--to", "free"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: the key '{key}' appears twice in one object\n"
+
+
 def test_convert_incomplete_table(tmp_path, capsys):
     doc = json.loads(SEMI)
     del doc["values"]["aaa"]

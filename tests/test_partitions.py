@@ -236,6 +236,25 @@ def test_linear_extensions_put_parents_first():
     ]
 
 
+def test_linear_extensions_are_the_outer_first_permutations_once_each():
+    # The brute force reads nesting off the blocks' ends, not the forest
+    # scan: W encloses V when min W < min V and max V < max W.
+    for n in range(1, 7):
+        for p in enumerate_nc(n):
+            listed = list(linear_extensions(p))
+            outer_first = {
+                order
+                for order in itertools.permutations(p.blocks)
+                if all(
+                    not (v[0] < w[0] and w[-1] < v[-1])
+                    for i, w in enumerate(order)
+                    for v in order[i + 1 :]
+                )
+            }
+            assert len(listed) == len(set(listed)), p
+            assert set(listed) == outer_first, p
+
+
 def test_enumerate_monotone_total_counts():
     totals = []
     for n in range(1, 7):

@@ -147,6 +147,21 @@ def test_duplicate_words_rejected():
         parse_table(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('"aa": "2",', '"aa": "2", "aa": "5",', "aa"),
+        ('"kind": "moment",', '"kind": "moment", "kind": "free",', "kind"),
+    ],
+    ids=["word", "top-level-key"],
+)
+def test_a_key_given_twice_is_rejected(old, new, key):
+    # json.loads alone keeps the last value: aa = 5, or a free table
+    text = GOOD.replace(old, new)
+    with pytest.raises(TableFormatError, match=f"the key '{key}' appears twice"):
+        parse_table(text)
+
+
 def test_missing_words_are_incomplete_not_malformed():
     doc = json.loads(GOOD)
     del doc["values"]["ab"]

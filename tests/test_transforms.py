@@ -261,6 +261,21 @@ def test_verify_suite_passes_on_several_seeds():
     assert len(names) == len(set(names))
 
 
+def test_verify_runs_convert_once_per_direct_lattice_pair(monkeypatch):
+    # The convert-* identities are convert's own check, not a copy of it.
+    calls = []
+    real = transforms.convert
+
+    def spy(c, target):
+        calls.append((c.kind, target))
+        return real(c, target)
+
+    monkeypatch.setattr(transforms, "convert", spy)
+    report = verify_suite(3, 1)
+    assert report.ok
+    assert calls == sorted(transforms._CONVERSION_SUMS)
+
+
 def test_verify_suite_catches_corruption(monkeypatch):
     # a wrong Bernoulli number must break the Magnus identities
     real = prelie.bernoulli
