@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import factorial
 from pathlib import Path
 
 from . import __version__
@@ -29,8 +30,6 @@ from .partitions import (
     _FAMILIES,
     block_str,
     enumerate_monotone,
-    monotone_labelling_count,
-    tree_factorial,
 )
 from .tablefile import normalize_kind, parse_table, render_table
 from .transforms import (
@@ -201,9 +200,8 @@ def _cmd_partitions(args) -> int:
             return _fail(f"--n must be 1..{_PARTITION_CAP}")
         ps = sorted(_FAMILIES[args.family](n))
         if args.stats:
-            rows = [
-                (str(p), tree_factorial(p), monotone_labelling_count(p)) for p in ps
-            ]
+            # the enumerators record tau!; s!/tau! counts the labellings
+            rows = [(str(p), p.tau, factorial(p.num_blocks) // p.tau) for p in ps]
             lines = [f"{p}  tau!={tau}  m={m}" for p, tau, m in rows]
             items = [
                 {"partition": p, "tree_factorial": tau, "labellings": m}

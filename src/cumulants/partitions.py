@@ -244,14 +244,6 @@ def tree_factorial(p: SetPartition) -> int:
     return prod(sizes)
 
 
-def monotone_labelling_count(p: SetPartition) -> int:
-    """Number of monotone labellings, by the forest hook formula s!/tau!."""
-    count, remainder = divmod(factorial(p.num_blocks), tree_factorial(p))
-    if remainder:
-        raise RuntimeError(f"hook formula failed on {p}; this is a bug")
-    return count
-
-
 def linear_extensions(p: SetPartition):
     """All outer-first block orders: every parent before all its children.
 

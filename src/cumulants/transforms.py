@@ -1,7 +1,7 @@
 """Moment/cumulant tables, conversions between them, and the identity suite.
 
-Every conversion is computed along two independent routes and the results
-are compared entry by entry:
+Every conversion out of a cumulant table is computed along two independent
+routes and the results are compared entry by entry:
 
   * a shuffle route through the half-shuffle / convolution exponentials and
     the Magnus expansion: cumulants reach moments through the word-table
@@ -9,8 +9,11 @@ are compared entry by entry:
     while the exponentials as forms stay the reference that verify_suite
     and the tests compare with, and
   * a partition route through non-crossing, interval, or irreducible
-    non-crossing partition sums (or a two-step detour through moments where
-    no direct partition formula applies).
+    non-crossing partition sums; free and boolean to monotone, which have
+    no direct sum, apply the monotone-to-source sum to the result instead.
+
+Conversions out of a moment table run one route, the half-shuffle
+recursions and the Magnus expansion, and are not cross-checked.
 
 A mismatch raises RouteDisagreementError; it signals a broken invariant in
 the package, not bad input, and the CLI maps it to its own exit code.
@@ -306,9 +309,11 @@ _CONVERSIONS = {
     ("monotone", "boolean"): _monotone_to_boolean,
 }
 
-# Direct partition-lattice formulas over irreducible non-crossing partitions;
-# the two missing pairs, free and boolean to monotone, are cross-checked
-# through moments instead.
+# Direct partition-lattice formulas over irreducible non-crossing partitions
+# (Arizmendi, Hasebe, Lehner & Vargas).  convert checks a pair with a formula
+# forward, against the sum over its input; free and boolean to monotone have
+# none, so they are checked backward, the formula from monotone applied to
+# the output against the input.
 _CONVERSION_SUMS = {
     ("free", "boolean"): ("irr-nc", "one"),
     ("boolean", "free"): ("irr-nc", "sign"),
@@ -329,31 +334,24 @@ def convert(c: CumulantTable, target: str) -> CumulantTable:
     result = _CONVERSIONS[(c.kind, target)](_infchar(c))
     out = CumulantTable(target, c.generators, c.max_degree, result.table)
 
-    sums = _CONVERSION_SUMS.get((c.kind, target))
-    if sums is not None:
+    def lattice_sum(values, family, weight):
+        return lambda w: partitions.partition_sum(values, w, family, weight)
+
+    what = f"{c.kind} -> {target} disagrees"
+    if (c.kind, target) in _CONVERSION_SUMS:
+        expected = lattice_sum(c.values, *_CONVERSION_SUMS[(c.kind, target)])
         found = "shuffle route {}, partition route {}"
-        family, weight = sums
-        got = out.values.__getitem__
-
-        def expected(w):
-            return partitions.partition_sum(c.values, w, family, weight)
-
+        _agree(c, out.values.__getitem__, expected, what, found)
     else:
-        # The partition-route moments of the output against the moments of
-        # the input, checked by both routes.  Moments determine cumulants
-        # triangularly, the one-block partition with coefficient 1, so the
-        # first word where the moments differ is the first word where the
-        # output is wrong.  The output's sums run first: building their
-        # shapes before the exponential in cumulants_to_moments lowers the
-        # peak RSS (by 0.9 MB on a 1-generator degree-10 table).
-        found = "moments of the shuffle-route result {}, moments of the input {}"
-        family, weight = _MOMENT_PARTITIONS[target]
-        got = {
-            w: partitions.partition_sum(out.values, w, family, weight)
-            for w in _words_of(c)
-        }.__getitem__
-        expected = cumulants_to_moments(c).values.__getitem__
-    _agree(c, got, expected, f"{c.kind} -> {target} disagrees", found)
+        # The one-block partition has weight 1 and every other partition
+        # reads the output on shorter subwords only, so the first word where
+        # the image differs from the input is the first wrong word.
+        image = lattice_sum(out.values, *_CONVERSION_SUMS[(target, c.kind)])
+        found = (
+            f"image of the result under the {target} -> {c.kind} sum "
+            "{}, input {}"
+        )
+        _agree(c, image, c.values.__getitem__, what, found)
     return out
 
 

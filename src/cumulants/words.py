@@ -104,11 +104,11 @@ def bar_concat(a: BarWord, b: BarWord) -> BarWord:
     return tuple.__new__(BarWord, a + b)
 
 
-def all_words(n_letters: int, max_degree: int, min_degree: int = 1) -> Iterator[Word]:
+def all_words(n_letters: int, max_degree: int) -> Iterator[Word]:
     """All words over letters 0..n_letters-1, by degree then lexicographic."""
     if n_letters < 1:
         raise ValueError("alphabet must have at least one letter")
-    for degree in range(min_degree, max_degree + 1):
+    for degree in range(1, max_degree + 1):
         for letters in itertools.product(range(n_letters), repeat=degree):
             yield Word(letters)
 

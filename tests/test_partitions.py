@@ -3,6 +3,7 @@
 import functools
 import gc
 import itertools
+import json
 import random
 import sys
 from collections import Counter
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cumulants import partitions
+from cumulants.cli import main
 from cumulants.errors import IncompleteTableError
 from cumulants.partitions import (
     SetPartition,
@@ -22,7 +24,6 @@ from cumulants.partitions import (
     enumerate_monotone,
     enumerate_nc,
     linear_extensions,
-    monotone_labelling_count,
     partition_sum,
     tree_factorial,
 )
@@ -198,16 +199,28 @@ def test_enumeration_holds_no_gap_records_once_done():
 
 
 def test_labelling_count_is_hook_quotient():
+    # The hook formula counts labellings as s!/tau!, so tau! divides s!.
     for n in range(1, 8):
         for p in enumerate_nc(n):
-            s = p.num_blocks
-            assert monotone_labelling_count(p) == factorial(s) // tree_factorial(p)
+            assert factorial(p.num_blocks) % tree_factorial(p) == 0, p
 
 
-def test_labelling_count_matches_brute_force_extensions():
-    for n in range(1, 8):
-        for p in enumerate_nc(n):
-            assert monotone_labelling_count(p) == sum(1 for _ in linear_extensions(p))
+def test_labelling_count_matches_brute_force_extensions(capsys):
+    # `partitions --stats` prints m = s!/tau! from the recorded tau!.
+    for family, enumerate_family in (
+        ("nc", enumerate_nc),
+        ("irr-nc", enumerate_irreducible_nc),
+    ):
+        for n in range(1, 8):
+            argv = ["partitions", "--n", str(n), "--family", family, "--stats"]
+            assert main([*argv, "--format", "json"]) == 0
+            items = json.loads(capsys.readouterr().out)["items"]
+            ps = sorted(enumerate_family(n))
+            assert [item["partition"] for item in items] == [str(p) for p in ps]
+            for item, p in zip(items, ps):
+                listed = sum(1 for _ in linear_extensions(p))
+                assert item["labellings"] == listed, p
+                assert item["tree_factorial"] == tree_factorial(p), p
 
 
 def test_labelling_weight_is_the_share_of_listed_extensions():
@@ -264,7 +277,7 @@ def test_enumerate_monotone_total_counts():
     # n=2: the pair partition once, the singletons in both orders
     assert totals[:3] == [1, 3, 12]
     assert totals == [
-        sum(monotone_labelling_count(p) for p in enumerate_nc(n))
+        sum(factorial(p.num_blocks) // p.tau for p in enumerate_nc(n))
         for n in range(1, 7)
     ]
 
@@ -451,7 +464,7 @@ def test_partition_sum_matches_brute_force_over_all_partitions():
     rng = random.Random(12)
     for n in range(1, 8):
         everything = enumerate_all_partitions(n)
-        words = list(all_words(2, n, min_degree=n))
+        words = [w for w in all_words(2, n) if w.degree == n]
         if n > 5:  # every word up to degree 5, then a seeded sample
             words = rng.sample(words, 16)
         for family, keep in _FAMILY_FILTERS.items():

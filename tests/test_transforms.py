@@ -150,7 +150,9 @@ def test_degree_three_conversion_identities_two_letters():
     boolean = convert(free, "boolean")
     mono = random_table("monotone", 2, 3, seed=19)
     free_from_mono = convert(mono, "free")
-    for w in all_words(2, 3, min_degree=3):
+    for w in all_words(2, 3):
+        if w.degree < 3:
+            continue
         y = Word((w[1],))
         xz = Word((w[0], w[2]))
         assert boolean.values[w] == free.values[w] + free.values[xz] * free.values[y]
@@ -217,22 +219,27 @@ def test_conversion_route_disagreement_is_detected(monkeypatch):
 
 
 @pytest.mark.parametrize("source", ["free", "boolean"])
-def test_monotone_targets_are_checked_against_partition_moments(source, monkeypatch):
-    # No direct lattice formula gives monotone cumulants, so the result's
-    # moments on the partition route (nc, 1/tau!) meet the input's moments.
+def test_monotone_targets_are_checked_backward_over_irreducible_partitions(
+    source, monkeypatch
+):
+    # No direct lattice formula gives monotone cumulants, so the monotone ->
+    # source sum over irreducible non-crossing partitions, applied to the
+    # result, meets the input.
+    weight = {"free": "sign_inv_tau", "boolean": "inv_tau"}[source]
     c = random_table(source, 1, 3, seed=37)
     real = transforms.partitions.partition_sum
 
-    def skewed(values, w, family, weight="one"):
-        out = real(values, w, family, weight)
-        if (family, weight) == ("nc", "inv_tau") and w.degree == 3:
+    def skewed(values, w, family, weight_name="one"):
+        out = real(values, w, family, weight_name)
+        if (family, weight_name) == ("irr-nc", weight) and w.degree == 3:
             return out + 1
         return out
 
     monkeypatch.setattr(transforms.partitions, "partition_sum", skewed)
-    with pytest.raises(RouteDisagreementError, match="moments") as info:
+    with pytest.raises(RouteDisagreementError, match="image of the result") as info:
         convert(c, "monotone")
     assert info.value.word == Word((0, 0, 0))
+    assert info.value.values[1] == c.values[Word((0, 0, 0))]
 
 
 @pytest.mark.parametrize("source", ["free", "boolean"])
@@ -247,9 +254,28 @@ def test_a_wrong_monotone_result_is_caught_at_its_first_wrong_word(source, monke
         return out
 
     monkeypatch.setitem(transforms._CONVERSIONS, (source, "monotone"), broken)
-    with pytest.raises(RouteDisagreementError, match="moments") as info:
+    with pytest.raises(RouteDisagreementError, match="image of the result") as info:
         convert(c, "monotone")
     assert info.value.word == wrong
+    image, given = info.value.values
+    assert given == c.values[wrong]
+    assert image == given + F(1, 5)
+    assert str(info.value) == (
+        f"{source} -> monotone disagrees at 'ba': image of the result under "
+        f"the monotone -> {source} sum {image}, input {given}"
+    )
+
+
+@pytest.mark.parametrize("source,target", list(transforms._CONVERSIONS))
+def test_cumulant_conversions_sum_only_over_irreducible_partitions(
+    source, target, monkeypatch
+):
+    # Both directions of every pair are checked over irr-NC(n): no moments,
+    # so no non-crossing or interval shape is built.
+    monkeypatch.setattr(transforms.partitions, "_SHAPES", {})
+    convert(random_table(source, 2, 4, seed=43), target)
+    families = {family for _, family, _ in transforms.partitions._SHAPES}
+    assert families == {"irr-nc"}
 
 
 def test_verify_suite_passes_on_several_seeds():
