@@ -26,7 +26,11 @@ nothing else survives, and magnus-fixed-point and interchange compare
 Every term reads its operands below degree n, and vanishes unless each
 operand is read at or above its lowest non-zero degree.  So `magnus` solves
 its fixed point one degree at a time, and `triangle` skips the degrees below
-the sum of its operands' lowest non-zero degrees.
+the sum of its operands' lowest non-zero degrees.  Both sum in integers over
+the operands' common denominators: with L_a and L_b the least common
+denominators of the two tables, L_a a and L_b b are integer tables, and each
+word's value is one int sum over L_a L_b.  `magnus` rescales Omega and each
+iterate once per degree, when every value that degree reads is final.
 
 Bernoulli numbers follow the convention B_1 = -1/2, which is the one under
 which the Magnus expansion reads  a - (1/2) a|>a + ...  The Magnus map and
@@ -126,14 +130,22 @@ def _lowest_degree(c: InfChar) -> int:
     return min((w.degree for w, v in c.table.items() if v), default=c.max_degree + 1)
 
 
-def _triangle_at(a, b, letters: tuple[int, ...]) -> Fraction:
-    """(a > b - b < a)(w) at w = letters, from the word tables of a and b.
+def _numerators(a: dict[Word, Fraction]) -> tuple[int, dict[Word, int]]:
+    """The least common denominator L of the table, and L * a(w) on each word."""
+    scale = lcm(*(v.denominator for v in a.values()))
+    return scale, {w: v.numerator * (scale // v.denominator) for w, v in a.items()}
+
+
+def _triangle_at(a, b, letters: tuple[int, ...], den: int) -> Fraction:
+    """(a > b - b < a)(w) at w = letters, from the integer word tables of
+    L_a a and L_b b, with den = L_a L_b.
 
     Reads a and b only below the degree of w (see the module docstring);
-    the letter slices look the words up directly.
+    the letter slices look the words up directly.  The terms are summed as
+    one int, and one Fraction is built at the end.
     """
     n = len(letters)
-    total = _ZERO
+    total = 0
     for j in range(1, n):  # a > b: the complement is the prefix w_1..w_j
         x = a[letters[j:]]
         if x:
@@ -148,7 +160,7 @@ def _triangle_at(a, b, letters: tuple[int, ...]) -> Fraction:
                 y = b[head + letters[j:]]
                 if y:
                     total -= y * x
-    return total
+    return Fraction(total, den)
 
 
 def triangle(a: InfChar, b: InfChar) -> InfChar:
@@ -160,11 +172,16 @@ def triangle(a: InfChar, b: InfChar) -> InfChar:
     if (a.n_letters, a.max_degree) != (b.n_letters, b.max_degree):
         raise ValueError("infinitesimal characters live on different truncations")
     low = _lowest_degree(a) + _lowest_degree(b)
-    ta, tb = a.table, b.table
+    scale_a, num_a = _numerators(a.table)
+    scale_b, num_b = _numerators(b.table)
+    den = scale_a * scale_b
     return InfChar(
         a.n_letters,
         a.max_degree,
-        {w: _triangle_at(ta, tb, w) if w.degree >= low else _ZERO for w in ta},
+        {
+            w: _triangle_at(num_a, num_b, w, den) if w.degree >= low else _ZERO
+            for w in a.table
+        },
     )
 
 
@@ -200,11 +217,18 @@ def magnus(a: InfChar) -> InfChar:
     coeffs = [bernoulli(m) / factorial(m) for m in range(d)]
     om: dict[Word, Fraction] = {}
     iterates = [a.table] + [{} for _ in range(2, d)]  # L^0 .. L^(d-2)
+    degree = 0
     for w in a.table:  # ascending degree
+        if w.degree != degree:
+            # every value read at this degree is final: take them in integers
+            degree = w.degree
+            om_scale, om_num = _numerators(om)
+            scaled = [_numerators(it) for it in iterates[: max(degree - 2, 0)]]
         value = coeffs[0] * iterates[0][w]
         for m in range(1, d - 1):
-            if m + 1 < w.degree:
-                v = _triangle_at(om, iterates[m - 1], w)
+            if m + 1 < degree:
+                it_scale, it_num = scaled[m - 1]
+                v = _triangle_at(om_num, it_num, w, om_scale * it_scale)
                 if coeffs[m]:
                     value += coeffs[m] * v
             else:
@@ -217,12 +241,6 @@ def magnus(a: InfChar) -> InfChar:
 # ---------------------------------------------------------------------------
 # exponentials on word tables
 # ---------------------------------------------------------------------------
-
-
-def _numerators(a: dict[Word, Fraction]) -> tuple[int, dict[Word, int]]:
-    """The least common denominator L of the table, and L * a(w) on each word."""
-    scale = lcm(*(v.denominator for v in a.values()))
-    return scale, {w: v.numerator * (scale // v.denominator) for w, v in a.items()}
 
 
 def exp_left_table(a: dict[Word, Fraction]) -> dict[Word, Fraction]:

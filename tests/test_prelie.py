@@ -74,16 +74,25 @@ _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_example
 
 
 @st.composite
-def tables(draw, n_letters, degree, zeros=0.2):
+def tables(draw, n_letters, degree, zeros=0.2, wide=False):
     """A random InfChar, about a `zeros` share of its values zero, and zero
     below a drawn degree so that the product's skipped low degrees are
-    exercised too."""
+    exercised too.
+
+    With `wide`, the values of each degree share one denominator drawn up to
+    10**6, so the common denominators the integer kernels scale by are wide
+    and differ from degree to degree."""
     lowest = draw(st.integers(1, degree + 1))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dens = [rng.randint(1, 10**6) for _ in range(degree)] if wide else None
     values = {}
     for w in all_words(n_letters, degree):
-        zero = w.degree < lowest or rng.random() < zeros
-        values[w] = F(0) if zero else F(rng.randint(-6, 6), rng.randint(1, 4))
+        if w.degree < lowest or rng.random() < zeros:
+            values[w] = F(0)
+        elif wide:
+            values[w] = F(rng.randint(-(10**3), 10**3), dens[w.degree - 1])
+        else:
+            values[w] = F(rng.randint(-6, 6), rng.randint(1, 4))
     return InfChar(n_letters, degree, values)
 
 
@@ -176,6 +185,21 @@ def test_triangle_equals_the_product_over_full_half_coproducts(n_letters, degree
 def test_graded_magnus_equals_the_fixed_point_iteration(n_letters, degree, data):
     a = data.draw(tables(n_letters, degree))
     assert magnus(a) == fixed_point_magnus(a)
+
+
+@pytest.mark.parametrize("n_letters, degree", [(1, 6), (2, 5), (3, 4)])
+@settings(_PROPERTY, max_examples=5)
+@given(data=st.data())
+def test_products_on_wide_denominators(n_letters, degree, data):
+    a = data.draw(tables(n_letters, degree, wide=True))
+    b = data.draw(tables(n_letters, degree, wide=True))
+    product, om = triangle(a, b), magnus(a)
+    back = w_map(om)
+    assert product == form_triangle(a, b)
+    assert om == fixed_point_magnus(a)
+    assert back == a
+    for c in (product, om, back):
+        assert all(type(v) is F for v in c.table.values())
 
 
 EXPONENTIALS = [

@@ -368,7 +368,7 @@ FAULTS = {
     "triangle-at-3": _wrap(
         prelie,
         "_triangle_at",
-        lambda real: lambda a, b, w: real(a, b, w) + (1 if len(w) == 3 else 0),
+        lambda real: lambda a, b, w, den: real(a, b, w, den) + (1 if len(w) == 3 else 0),
     ),
     "half-left-swapped": _wrap(
         forms, "half_left", lambda real: lambda f, g: real(g, f)
