@@ -24,9 +24,11 @@ Conventions, with e the counit (1 on the unit bar-word, else 0):
     unit, finite sums at every input, so no truncation parameter appears.
 
 `Conv._eval` is the one loop over a coproduct here.  It reads every operand
-value through `Form.eval` and sums the terms c * f(x) * g(y) in integers,
-one numerator sum per denominator product (the coproduct coefficients c are
-ints), then builds one Fraction per group.  The full coproduct of the unit
+value through `Form.eval`, as one integer ratio, and sums the terms
+c * f(x) * g(y) in integers, one numerator sum per denominator product (the
+coproduct coefficients c are ints), then builds one Fraction per evaluation
+over the groups' lcm.  The power series sum their terms the same way, with
+integer-pair coefficients.  The full coproduct of the unit
 is the one term 1 (x) 1, so the loop itself gives f(1) * g(1) there; only
 the half convolutions, undefined on the unit, take the rule above.  It
 shares no code with the word-table kernels in `prelie`, which `verify`
@@ -41,7 +43,7 @@ inverse require a unital one (value 1 on the unit).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .coproducts import coproduct, coproduct_left, coproduct_right
 from .errors import IncompleteTableError, InvalidFormError
@@ -162,6 +164,14 @@ class Neg(Form):
         return -self.f.eval(u)
 
 
+def _fraction(sums: dict[int, int]) -> Fraction:
+    """The sum of n / d over the groups d -> n, as one Fraction over their
+    lcm; the shared zero when it vanishes."""
+    den = lcm(*sums)
+    total = sum(n * (den // d) for d, n in sums.items())
+    return Fraction(total, den) if total else _ZERO
+
+
 CONV = "conv"
 LEFT = "left"
 RIGHT = "right"
@@ -187,22 +197,19 @@ class Conv(Form):
             if self.kind == LEFT:
                 return self.f.eval(u) if isinstance(self.g, Counit) else _ZERO
             return self.g.eval(u) if isinstance(self.f, Counit) else _ZERO
-        f, g = self.f, self.g
-        # Integer numerators summed per denominator product: the
-        # coefficients c are ints, so no term builds or normalises a Fraction.
+        f_eval, g_eval = self.f.eval, self.g.eval
+        # Each operand value is read as one integer ratio, and the terms are
+        # summed per denominator product: the coefficients c are ints, so no
+        # term builds or normalises a Fraction.
         sums: dict[int, int] = {}
         for (x, y), c in _SPLITTERS[self.kind](u).items():
-            fx = f.eval(x)
-            if fx:
-                gy = g.eval(y)
-                if gy:
-                    d = fx.denominator * gy.denominator
-                    sums[d] = sums.get(d, 0) + c * fx.numerator * gy.numerator
-        total = _ZERO
-        for d, n in sums.items():
-            if n:
-                total += Fraction(n, d)
-        return total
+            p, q = f_eval(x).as_integer_ratio()
+            if p:
+                r, s = g_eval(y).as_integer_ratio()
+                if r:
+                    d = q * s
+                    sums[d] = sums.get(d, 0) + c * p * r
+        return _fraction(sums)
 
 
 def conv(f: Form, g: Form) -> Form:
@@ -230,8 +237,9 @@ def _require_unital(f: Form, what: str) -> None:
 class _PowerSeries(Form):
     """Sum of coeff(j) * base^{*j} over j = 0..degree(u).
 
-    The base must vanish on the unit, so base^{*j} vanishes on inputs of
-    degree below j and the sum is finite without any cutoff.
+    coeff(j) is an integer pair (numerator, denominator).  The base must
+    vanish on the unit, so base^{*j} vanishes on inputs of degree below j
+    and the sum is finite without any cutoff.
     """
 
     __slots__ = ("base", "_coeff", "_powers")
@@ -249,14 +257,15 @@ class _PowerSeries(Form):
         return powers[j]
 
     def _eval(self, u):
-        total = _ZERO
+        sums: dict[int, int] = {}
         for j in range(u.degree + 1):
-            c = self._coeff(j)
-            if c:
-                value = self._power(j).eval(u)
-                if value:
-                    total += c * value
-        return total
+            a, b = self._coeff(j)
+            if a:
+                p, q = self._power(j).eval(u).as_integer_ratio()
+                if p:
+                    d = b * q
+                    sums[d] = sums.get(d, 0) + a * p
+        return _fraction(sums)
 
 
 class _FixedPoint(Form):
@@ -279,14 +288,14 @@ class _FixedPoint(Form):
 def exp_star(alpha: Form) -> Form:
     """Convolution exponential of an infinitesimal form."""
     _require_infinitesimal(alpha, "exp_star")
-    return _PowerSeries(alpha, lambda j: Fraction(1, factorial(j)))
+    return _PowerSeries(alpha, lambda j: (1, factorial(j)))
 
 
 def log_star(phi: Form) -> Form:
     """Convolution logarithm of a unital form."""
     _require_unital(phi, "log_star")
     return _PowerSeries(
-        phi - COUNIT, lambda j: _ZERO if j == 0 else Fraction((-1) ** (j - 1), j)
+        phi - COUNIT, lambda j: (0, 1) if j == 0 else ((-1) ** (j - 1), j)
     )
 
 

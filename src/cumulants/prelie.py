@@ -108,8 +108,18 @@ class InfChar:
             lambda w: f"infinitesimal character table is missing {w!r}",
         )
 
+    @classmethod
+    def _trusted(cls, n_letters: int, max_degree: int, table) -> "InfChar":
+        """The kernels' constructor: `table` must already hold a Fraction on
+        every word up to the bound, in ascending degree; nothing is checked."""
+        c = cls.__new__(cls)
+        c.n_letters = n_letters
+        c.max_degree = max_degree
+        c.table = table
+        return c
+
     def __neg__(self) -> "InfChar":
-        return InfChar(
+        return InfChar._trusted(
             self.n_letters, self.max_degree, {w: -v for w, v in self.table.items()}
         )
 
@@ -134,6 +144,13 @@ def _numerators(a: dict[Word, Fraction]) -> tuple[int, dict[Word, int]]:
     """The least common denominator L of the table, and L * a(w) on each word."""
     scale = lcm(*(v.denominator for v in a.values()))
     return scale, {w: v.numerator * (scale // v.denominator) for w, v in a.items()}
+
+
+def _fraction(sums: dict[int, int]) -> Fraction:
+    """The sum of n / d over the groups d -> n, as one Fraction over their
+    lcm."""
+    den = lcm(*sums)
+    return Fraction(sum(n * (den // d) for d, n in sums.items()), den)
 
 
 def _triangle_at(a, b, letters: tuple[int, ...], den: int) -> Fraction:
@@ -175,7 +192,7 @@ def triangle(a: InfChar, b: InfChar) -> InfChar:
     scale_a, num_a = _numerators(a.table)
     scale_b, num_b = _numerators(b.table)
     den = scale_a * scale_b
-    return InfChar(
+    return InfChar._trusted(
         a.n_letters,
         a.max_degree,
         {
@@ -191,16 +208,22 @@ def w_map(a: InfChar) -> InfChar:
     The k-th iterate vanishes on degrees <= k + 1 (a |> a vanishes at every
     w1 w2, and each product raises that degree by one), so k stops at the
     bound - 2; `triangle` finds from the values which low degrees vanish.
+    Each word sums its iterate values in integers, one numerator sum per
+    denominator, and builds one Fraction at the end.
     """
-    total = dict(a.table)  # the k = 0 term has coefficient 1/1! = 1
+    # the k = 0 term has coefficient 1/1! = 1
+    groups = {w: {v.denominator: v.numerator} for w, v in a.table.items()}
     iterate = a
     for k in range(1, a.max_degree - 1):
         iterate = triangle(a, iterate)
-        c = Fraction(1, factorial(k + 1))
+        f = factorial(k + 1)
         for w, v in iterate.table.items():
-            if v:
-                total[w] += c * v
-    return InfChar(a.n_letters, a.max_degree, total)
+            p, q = v.as_integer_ratio()
+            if p:
+                sums, d = groups[w], q * f
+                sums[d] = sums.get(d, 0) + p
+    total = {w: _fraction(sums) for w, sums in groups.items()}
+    return InfChar._trusted(a.n_letters, a.max_degree, total)
 
 
 def magnus(a: InfChar) -> InfChar:
@@ -211,10 +234,13 @@ def magnus(a: InfChar) -> InfChar:
     L^(m-1) only below n.  It vanishes when n <= m + 1: at w = w1 w2,
     L^1 = Omega(w2) a(w1) - a(w1) Omega(w2) = 0, and each L raises the
     vanishing degree by one.  So walking the words by ascending degree, each
-    value of each iterate is computed once, from values already final.
+    value of each iterate is computed once, from values already final.  Each
+    word sums its terms (B_m/m!) L^m(w) in integers, one numerator sum per
+    denominator, and builds one Fraction at the end.
     """
     d = a.max_degree
-    coeffs = [bernoulli(m) / factorial(m) for m in range(d)]
+    # B_m/m! as integer pairs; B_0/0! = 1
+    coeffs = [(bernoulli(m) / factorial(m)).as_integer_ratio() for m in range(d)]
     om: dict[Word, Fraction] = {}
     iterates = [a.table] + [{} for _ in range(2, d)]  # L^0 .. L^(d-2)
     degree = 0
@@ -224,18 +250,22 @@ def magnus(a: InfChar) -> InfChar:
             degree = w.degree
             om_scale, om_num = _numerators(om)
             scaled = [_numerators(it) for it in iterates[: max(degree - 2, 0)]]
-        value = coeffs[0] * iterates[0][w]
+        p, q = iterates[0][w].as_integer_ratio()
+        sums = {q: p}
         for m in range(1, d - 1):
             if m + 1 < degree:
                 it_scale, it_num = scaled[m - 1]
                 v = _triangle_at(om_num, it_num, w, om_scale * it_scale)
-                if coeffs[m]:
-                    value += coeffs[m] * v
+                c, e = coeffs[m]
+                if c:
+                    p, q = v.as_integer_ratio()
+                    if p:
+                        sums[e * q] = sums.get(e * q, 0) + c * p
             else:
                 v = _ZERO
             iterates[m][w] = v
-        om[w] = value
-    return InfChar(a.n_letters, d, om)
+        om[w] = _fraction(sums)
+    return InfChar._trusted(a.n_letters, d, om)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from . import forms, partitions, prelie
 from .coproducts import (
@@ -184,15 +184,24 @@ def _agree(c: CumulantTable, got, expected, what: str, found: str) -> None:
 def _solve_free(m: CumulantTable) -> dict[Word, Fraction]:
     # Unfold Phi = e + kappa < Phi: the full-extraction term is kappa(w)
     # itself, every other term pairs a shorter kappa value with moments.
+    # Each word sums m(w) minus those terms in integers, one numerator sum
+    # per denominator product, and builds one Fraction over their lcm.
     phi = forms.CharacterFromWords(m.values)
     kappa: dict[Word, Fraction] = {}
     for w in _words_of(m):
-        rest = Fraction(0)
+        p, q = m.values[w].as_integer_ratio()
+        sums = {q: p}
         for (x, y), c in coproduct_left(lift(w)).items():
             if y.is_unit:
                 continue
-            rest += c * kappa[x[0]] * phi.eval(y)
-        kappa[w] = m.values[w] - rest
+            p, q = kappa[x[0]].as_integer_ratio()
+            if p:
+                r, s = phi.eval(y).as_integer_ratio()
+                if r:
+                    d = q * s
+                    sums[d] = sums.get(d, 0) - c * p * r
+        den = lcm(*sums)
+        kappa[w] = Fraction(sum(n * (den // d) for d, n in sums.items()), den)
     return kappa
 
 
@@ -445,10 +454,15 @@ def _split_leg(pairs: dict, leg: int, split) -> dict:
     """Apply a splitting to the left (0) or right (1) leg of every pair,
     producing triples."""
     acc: dict = {}
-    for pair, c in pairs.items():
-        for legs, d in split(pair[leg]).items():
-            key = pair[:leg] + legs + pair[leg + 1 :]
-            acc[key] = acc.get(key, 0) + c * d
+    for (x, y), c in pairs.items():
+        if leg == 0:
+            for (x1, x2), d in split(x).items():
+                key = (x1, x2, y)
+                acc[key] = acc.get(key, 0) + c * d
+        else:
+            for (y1, y2), d in split(y).items():
+                key = (x, y1, y2)
+                acc[key] = acc.get(key, 0) + c * d
     return acc
 
 

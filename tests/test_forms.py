@@ -1,6 +1,7 @@
 """Linear forms: characters, half-shuffle products, exponentials, logarithms."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -268,9 +269,67 @@ def test_conv_cancelling_groups_and_vanishing_terms_give_fractions():
         assert reference_conv(CONV, f, g, lift(ab)) == f_ab
         value = Conv(CONV, f, g).eval(lift(ab))
         assert value == f_ab and type(value) is F
+    # the groups of f(a) g(b) = 1/6 (denominator product 6) and
+    # f(b) g(a) = -2/12 (12) cancel each other over their lcm
+    g = CharacterFromWords({A: F(-2, 3), Word((1,)): F(1, 3)})
+    f = InfinitesimalFromWords({A: F(1, 2), Word((1,)): F(1, 4), ab: F(0)})
+    assert reference_conv(CONV, f, g, lift(ab)) == 0
+    value = Conv(CONV, f, g).eval(lift(ab))
+    assert value == 0 and type(value) is F
     # every term vanishes: each leg pair has a unit leg on alpha * alpha
     alpha = InfinitesimalFromWords(univariate_table(1, (5,)))
     for kind in (CONV, LEFT, RIGHT):
         for u in (UNIT, lift(A)):
             value = Conv(kind, alpha, alpha).eval(u)
             assert value == 0 and type(value) is F
+    # log_star(exp_star(alpha)) is alpha, which vanishes on bar products:
+    # there the series' non-zero terms cancel
+    alpha = InfinitesimalFromWords({A: F(1, 2), Word((1,)): F(-1, 3), ab: F(1, 5)})
+    phi = exp_star(alpha)
+    log = log_star(phi)
+    a_b = BarWord((A, Word((1,))))
+    terms = reference_series_terms(phi - COUNIT, log_coefficient, a_b)
+    assert any(terms) and sum(terms) == 0
+    for u in (a_b, BarWord((A, ab)), BarWord((ab, A, A))):
+        value = log.eval(u)
+        assert value == 0 and type(value) is F
+    assert log.eval(lift(ab)) == F(1, 5)
+
+
+# The per-term Fraction sums of the power series in a base form: the oracle
+# for the integer sum in `_PowerSeries._eval`.
+
+
+def exp_coefficient(j):
+    return F(1, factorial(j))
+
+
+def log_coefficient(j):
+    return F((-1) ** (j - 1), j) if j else F(0)
+
+
+def reference_series_terms(base, coefficient, u):
+    """coefficient(j) * base^{*j}(u) for j = 0..degree(u), each power built
+    from the per-term reference convolution."""
+    powers = [COUNIT]
+    for _ in range(u.degree):
+        powers.append(conv(base, powers[-1]))
+    return [coefficient(j) * power.eval(u) for j, power in enumerate(powers)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(word_tables(), word_tables())
+def test_power_series_match_the_per_term_fraction_sum(left_table, right_table):
+    phi = CharacterFromWords(left_table)
+    alpha = InfinitesimalFromWords(right_table)
+    phi_minus_e = phi - COUNIT
+    for series, base, coefficient in (
+        (exp_star(alpha), alpha, exp_coefficient),
+        (exp_star(phi_minus_e), phi_minus_e, exp_coefficient),
+        (log_star(phi), phi_minus_e, log_coefficient),
+        (log_star(exp_star(alpha)), exp_star(alpha) - COUNIT, log_coefficient),
+    ):
+        for u in TWO_LETTER_BARWORDS:
+            value = series.eval(u)
+            assert type(value) is F, (u, value)
+            assert value == sum(reference_series_terms(base, coefficient, u)), u

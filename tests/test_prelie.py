@@ -198,8 +198,12 @@ def test_products_on_wide_denominators(n_letters, degree, data):
     assert product == form_triangle(a, b)
     assert om == fixed_point_magnus(a)
     assert back == a
-    for c in (product, om, back):
+    # the kernels build their tables unchecked: each must already be what
+    # the validating constructor would give, in ascending degree
+    for c in (product, om, back, -a):
+        assert list(c.table) == list(a.table)
         assert all(type(v) is F for v in c.table.values())
+        assert InfChar(c.n_letters, c.max_degree, c.table) == c
 
 
 EXPONENTIALS = [

@@ -1,6 +1,8 @@
 """Tables, conversions along both routes, and the identity suite."""
 
+import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -16,7 +18,7 @@ from cumulants.transforms import (
     random_table,
     verify_suite,
 )
-from cumulants.words import Word, all_words
+from cumulants.words import Word, all_barwords, all_words, lift
 
 
 def univariate_moments(values):
@@ -127,6 +129,43 @@ def test_recursions_agree_with_logarithm_forms():
 def test_moment_round_trip_all_kinds():
     m = random_table("moment", 2, 4, seed=11)
     for kind in ("free", "boolean", "monotone"):
+        c = moments_to_cumulants(m, kind)
+        assert cumulants_to_moments(c).values == m.values
+
+
+def wide_moments(n_letters, degree, seed):
+    """A moment table with about a fifth of its values zero and the rest
+    over denominators drawn up to 10**6."""
+    rng = random.Random(seed)
+    values = {
+        w: F(0) if rng.random() < 0.2 else F(rng.randint(-(10**3), 10**3), rng.randint(1, 10**6))
+        for w in all_words(n_letters, degree)
+    }
+    return CumulantTable("moment", n_letters, degree, values)
+
+
+def reference_solve_free(m):
+    """Free cumulants by the per-term Fraction unfolding of Phi = e + kappa < Phi:
+    the oracle for the integer sum in `_solve_free`."""
+    kappa = {}
+    for w in all_words(m.n_letters, m.max_degree):
+        rest = F(0)
+        for (x, y), c in coproducts.coproduct_left(lift(w)).items():
+            if not y.is_unit:
+                rest += c * kappa[x[0]] * prod((m.values[v] for v in y), start=F(1))
+        kappa[w] = m.values[w] - rest
+    return kappa
+
+
+@pytest.mark.parametrize("n_letters, degree", [(1, 8), (2, 5), (3, 4)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_free_solver_on_wide_denominators(n_letters, degree, seed):
+    m = wide_moments(n_letters, degree, seed)
+    kappa = transforms._solve_free(m)
+    assert kappa == reference_solve_free(m)
+    assert list(kappa) == list(m.values)
+    assert all(type(v) is F for v in kappa.values())
+    for kind in ("free", "monotone"):
         c = moments_to_cumulants(m, kind)
         assert cumulants_to_moments(c).values == m.values
 
@@ -276,6 +315,28 @@ def test_cumulant_conversions_sum_only_over_irreducible_partitions(
     convert(random_table(source, 2, 4, seed=43), target)
     families = {family for _, family, _ in transforms.partitions._SHAPES}
     assert families == {"irr-nc"}
+
+
+@pytest.mark.parametrize(
+    "split", [coproducts.coproduct, coproducts.coproduct_left, coproducts.coproduct_right]
+)
+def test_split_leg_equals_the_slice_formula(split):
+    # the triples as the concatenation pair[:leg] + legs + pair[leg + 1:];
+    # the halves are undefined on the unit, so they split only the pairs
+    # whose leg is not the unit
+    for u in all_barwords(2, 4, include_unit=True):
+        for leg in (0, 1):
+            pairs = {
+                pair: c
+                for pair, c in coproducts.coproduct(u).items()
+                if split is coproducts.coproduct or not pair[leg].is_unit
+            }
+            expected = {}
+            for pair, c in pairs.items():
+                for legs, d in split(pair[leg]).items():
+                    key = pair[:leg] + legs + pair[leg + 1 :]
+                    expected[key] = expected.get(key, 0) + c * d
+            assert transforms._split_leg(pairs, leg, split) == expected, (u, leg)
 
 
 def test_verify_suite_passes_on_several_seeds():
