@@ -27,13 +27,16 @@ weighs a partition built by hand.
 `partition_sum` enumerates and weighs each family once per (degree, family,
 weight) and keeps the result as a shape: the distinct blocks as 0-based
 position tuples, and the partitions as tuples of block indices, grouped by
-block count and weight, with the weights scaled to integers.  The shapes
-are bounded by MAX_N and hold no table values.  A sum over one word is then
-one lookup per distinct block and exact integer arithmetic over one common
-denominator, with a single Fraction built at the end.  The four
-cumulant-cumulant weights over irreducible non-crossing partitions are
-those of Arizmendi, Hasebe, Lehner & Vargas, "Relations between cumulants
-in noncommutative probability" (Adv. Math. 282, 2015, arXiv:1408.2977).
+block count and weight, with the weights scaled to integers.  Every weight
+in WEIGHTS is an exact (numerator, denominator) pair of ints in lowest
+terms, which the shape groups on as it is; no Fraction is kept per tau!.
+The shapes are bounded by MAX_N and hold no table values.  A sum over one
+word is then one lookup per distinct block and exact integer arithmetic
+over one common denominator, with a single Fraction built at the end.
+The four cumulant-cumulant weights over irreducible non-crossing
+partitions are those of Arizmendi, Hasebe, Lehner & Vargas, "Relations
+between cumulants in noncommutative probability" (Adv. Math. 282, 2015,
+arXiv:1408.2977).
 """
 
 from __future__ import annotations
@@ -290,11 +293,8 @@ _FAMILIES = {
 }
 
 
-_ONE = Fraction(1)
-
-
-def _weight_one(p: SetPartition) -> Fraction:
-    return _ONE
+def _weight_one(p: SetPartition) -> tuple[int, int]:
+    return 1, 1
 
 
 def _tau(p: SetPartition) -> int:
@@ -302,31 +302,19 @@ def _tau(p: SetPartition) -> int:
     return tree_factorial(p) if p.tau is None else p.tau
 
 
-# sign / tau! -> that Fraction, shared by every partition it weighs; NC(12)
-# has only 90 distinct tau! among its 208 012 partitions.
-_RECIPROCALS: dict[tuple[int, int], Fraction] = {}
+def _weight_inv_tau(p: SetPartition) -> tuple[int, int]:
+    return 1, _tau(p)
 
 
-def _reciprocal(sign: int, tau: int) -> Fraction:
-    c = _RECIPROCALS.get((sign, tau))
-    if c is None:
-        c = _RECIPROCALS[sign, tau] = Fraction(sign, tau)
-    return c
+def _weight_sign(p: SetPartition) -> tuple[int, int]:
+    return (-1) ** (p.num_blocks - 1), 1
 
 
-def _weight_inv_tau(p: SetPartition) -> Fraction:
-    return _reciprocal(1, _tau(p))
+def _weight_sign_inv_tau(p: SetPartition) -> tuple[int, int]:
+    return (-1) ** (p.num_blocks - 1), _tau(p)
 
 
-def _weight_sign(p: SetPartition) -> Fraction:
-    return _reciprocal((-1) ** (p.num_blocks - 1), 1)
-
-
-def _weight_sign_inv_tau(p: SetPartition) -> Fraction:
-    return _reciprocal((-1) ** (p.num_blocks - 1), _tau(p))
-
-
-def _weight_labelling(p: SetPartition) -> Fraction:
+def _weight_labelling(p: SetPartition) -> tuple[int, int]:
     # Counts the outer-first block orders directly, not by the hook formula,
     # so the tau-factorial route stays independent: orders(placed) is the
     # number of ways to place the blocks outside the bitmask `placed`, and a
@@ -345,9 +333,10 @@ def _weight_labelling(p: SetPartition) -> Fraction:
             if not placed >> i & 1 and (parent < 0 or placed >> parent & 1)
         )
 
-    return Fraction(orders(0), factorial(k))
+    return Fraction(orders(0), factorial(k)).as_integer_ratio()
 
 
+# name -> the weight of a partition, as (numerator, denominator) in lowest terms
 WEIGHTS = {
     "one": _weight_one,
     "inv_tau": _weight_inv_tau,
@@ -388,8 +377,7 @@ def _shapes(n: int, family: str, weight: str) -> tuple:
         found.reverse()
         while found:
             p = found.pop()
-            c = weigh(p)
-            members = groups.setdefault((len(p.blocks), c.numerator, c.denominator), [])
+            members = groups.setdefault((len(p.blocks), *weigh(p)), [])
             members.append(tuple(map(at, p.blocks)))
         scale = lcm(*(den for _, _, den in groups))
         blocks = tuple(tuple(x - 1 for x in b) for b in index)

@@ -317,6 +317,78 @@ def test_cumulant_conversions_sum_only_over_irreducible_partitions(
     assert families == {"irr-nc"}
 
 
+# Every conversion out of a cumulant table with the (family, weight) of the
+# sum that checks it; the last two are checked backward, through the
+# monotone -> source sum applied to the result.
+CHECKED_PAIRS = [
+    ("free", "moment", "nc", "one"),
+    ("boolean", "moment", "interval", "one"),
+    ("monotone", "moment", "nc", "inv_tau"),
+    ("free", "boolean", "irr-nc", "one"),
+    ("boolean", "free", "irr-nc", "sign"),
+    ("monotone", "boolean", "irr-nc", "inv_tau"),
+    ("monotone", "free", "irr-nc", "sign_inv_tau"),
+    ("free", "monotone", "irr-nc", "sign_inv_tau"),
+    ("boolean", "monotone", "irr-nc", "inv_tau"),
+]
+
+
+@pytest.mark.parametrize("source,target,family,weight", CHECKED_PAIRS)
+def test_every_checked_pair_reports_its_disagreement(
+    source, target, family, weight, monkeypatch
+):
+    c = random_table(source, 1, 3, seed=59)
+    aaa = Word((0, 0, 0))
+    real = transforms.partitions.partition_sum
+
+    def skewed(values, w, family_name, weight_name="one"):
+        out = real(values, w, family_name, weight_name)
+        skew = (family_name, weight_name) == (family, weight) and w.degree == 3
+        return out + 1 if skew else out
+
+    monkeypatch.setattr(transforms.partitions, "partition_sum", skewed)
+    with pytest.raises(RouteDisagreementError) as info:
+        convert_table(c, target)
+    assert info.value.word == aaa
+    first, second = info.value.values
+    if target == "moment":
+        what = f"{source} moments disagree"
+    else:
+        what = f"{source} -> {target} disagrees"
+    if target == "monotone":
+        found = f"image of the result under the monotone -> {source} sum {first}, input {second}"
+        assert second == c.values[aaa]
+        assert first == second + 1
+    else:
+        found = f"shuffle route {first}, partition route {second}"
+        assert second == real(c.values, aaa, family, weight) + 1
+        assert first == second - 1
+    assert str(info.value) == f"{what} at 'aaa': {found}"
+
+
+def test_the_one_block_partition_weighs_one_under_the_backward_sums():
+    # The backward check's first differing word is the first wrong word
+    # because the reversed sum weighs the one-block partition, the only one
+    # that reads the whole word, by 1.
+    rows = {
+        transforms._CONVERSION_SUMS[(target, source)]
+        for source in transforms.CUMULANT_KINDS
+        for target in transforms.CUMULANT_KINDS
+        if source != target and (source, target) not in transforms._CONVERSION_SUMS
+    }
+    assert rows == {("irr-nc", "sign_inv_tau"), ("irr-nc", "inv_tau")}
+    for family, weight in sorted(rows):
+        weigh = transforms.partitions.WEIGHTS[weight]
+        for n in range(1, transforms.partitions.MAX_N + 1):
+            whole = transforms.partitions.SetPartition(n, [range(1, n + 1)])
+            assert weigh(whole) == (1, 1), (weight, n)
+            if n <= 8:
+                found = transforms.partitions._FAMILIES[family](n)
+                (enumerated,) = [p for p in found if p.num_blocks == 1]
+                assert enumerated == whole
+                assert weigh(enumerated) == (1, 1), (weight, n)
+
+
 @pytest.mark.parametrize(
     "split", [coproducts.coproduct, coproducts.coproduct_left, coproducts.coproduct_right]
 )
@@ -360,7 +432,8 @@ def test_verify_runs_convert_once_per_direct_lattice_pair(monkeypatch):
     monkeypatch.setattr(transforms, "convert", spy)
     report = verify_suite(3, 1)
     assert report.ok
-    assert calls == sorted(transforms._CONVERSION_SUMS)
+    forward = [pair for pair in transforms._CONVERSION_SUMS if pair[1] != "moment"]
+    assert calls == sorted(forward)
 
 
 def test_verify_suite_catches_corruption(monkeypatch):
