@@ -26,7 +26,7 @@ identity family with a minimal-degree counterexample on failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, lcm, prod
 
@@ -252,12 +252,23 @@ def _solve_free(m: CumulantTable) -> dict[Word, Fraction]:
 def _solve_boolean(m: CumulantTable) -> dict[Word, Fraction]:
     # Unfold Phi = e + Phi > beta: only suffix extractions survive because
     # beta kills multi-factor complements, so the recursion runs on prefixes.
+    # With L the moments' least common denominator and M = L m, it runs in
+    # integers: B(w) = L^n beta(w) is L^(n-1) M(w) minus the terms
+    # B(w[:j]) L^(n-j-1) M(w[j:]), and each word builds one Fraction.
+    scale = lcm(*(v.denominator for v in m.values.values()))
+    num = {w: v.numerator * (scale // v.denominator) for w, v in m.values.items()}
+    powers = [scale**k for k in range(m.max_degree + 1)]
+    b: dict[Word, int] = {}
     beta: dict[Word, Fraction] = {}
     for w in _words_of(m):
-        rest = Fraction(0)
-        for j in range(1, len(w)):
-            rest += beta[w[:j]] * m.values[w[j:]]
-        beta[w] = m.values[w] - rest
+        n = len(w)
+        total = num[w] * powers[n - 1]
+        for j in range(1, n):
+            head = b[w[:j]]
+            if head:
+                total -= head * powers[n - j - 1] * num[w[j:]]
+        b[w] = total
+        beta[w] = Fraction(total, powers[n])
     return beta
 
 
@@ -384,19 +395,15 @@ def convert_table(table: CumulantTable, target: str) -> CumulantTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
-@dataclass
 class VerifyReport:
-    max_degree: int
-    n_letters: int
-    seed: int
-    results: list[CheckResult] = field(default_factory=list)
+    def __init__(self, max_degree: int, n_letters: int, seed: int, results=None):
+        self.max_degree = max_degree
+        self.n_letters = n_letters
+        self.seed = seed
+        self.results: list[CheckResult] = [] if results is None else results
 
     @property
     def ok(self) -> bool:

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,3 +58,25 @@ def test_the_routes_share_no_code_that_computes_values():
     assert _relative_imports("prelie") == {"words"}
     assert not _relative_imports("forms") & {"prelie", "partitions"}
     assert not _relative_imports("partitions") & {"forms", "prelie", "coproducts"}
+
+
+def _modules_loaded(code: str) -> set[str]:
+    """Names in sys.modules after `code` runs in a fresh interpreter that
+    reads no environment variables and no user site directory."""
+    done = subprocess.run(
+        [sys.executable, "-E", "-s", "-c", f"{code}\nimport sys; print(*sys.modules)",
+         str(PACKAGE.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_the_cli_import_pulls_in_no_introspection_modules():
+    # Every `cumulants` call pays for the import of cumulants.cli; none of
+    # its commands needs the modules behind dataclasses.  Modules the
+    # interpreter loads at start-up are not counted against the package.
+    started = _modules_loaded("")
+    loaded = _modules_loaded("import sys; sys.path.insert(0, sys.argv[1]); import cumulants.cli")
+    assert "cumulants.cli" in loaded
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert sorted((loaded - started) & heavy) == []

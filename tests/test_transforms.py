@@ -126,6 +126,26 @@ def test_recursions_agree_with_logarithm_forms():
             assert fast.values == slow.values
 
 
+def test_boolean_solver_matches_the_fraction_recursion():
+    # beta(w) = m(w) - sum_j beta(w[:j]) m(w[j:]), summed term by term in
+    # Fractions; the solver sums the same terms in integers over L^n.  The
+    # table mixes denominators and zeros, and m(b) = 0 makes beta(b) = 0, so
+    # the solver skips the terms of every word that starts with b.
+    rng = random.Random(5)
+    values = {
+        w: F(rng.choice((0, 0, 1, -2, 3)), rng.choice((1, 2, 3, 5, 12)))
+        for w in all_words(2, 5)
+    }
+    values[Word((1,))] = F(0)
+    m = CumulantTable("moment", 2, 5, values)
+    expected = {}
+    for w in all_words(2, 5):
+        rest = sum((expected[w[:j]] * values[w[j:]] for j in range(1, len(w))), F(0))
+        expected[w] = values[w] - rest
+    assert transforms._solve_boolean(m) == expected
+    assert moments_to_cumulants(m, "boolean").values == expected
+
+
 def test_moment_round_trip_all_kinds():
     m = random_table("moment", 2, 4, seed=11)
     for kind in ("free", "boolean", "monotone"):
@@ -458,6 +478,38 @@ def test_verify_report_lines_shape():
     doc = report.to_dict()
     assert doc["ok"] is True
     assert len(doc["results"]) == len(report.results)
+
+
+def test_verify_report_records_by_hand():
+    report = transforms.VerifyReport(3, 2, 7)
+    assert report.results == [] and report.ok
+    report.results.append(transforms.CheckResult("counit", True))
+    assert report.ok
+    report.results.append(transforms.CheckResult("shuffle-A1", False, "at ab: 1 != 2"))
+    assert not report.ok
+    assert report.lines() == [
+        "identity suite: degree <= 3, 2 generator(s), seed 7",
+        "PASS counit",
+        "FAIL shuffle-A1: at ab: 1 != 2",
+        "identities: 1 passed, 1 failed",
+    ]
+    assert report.to_dict() == {
+        "max_degree": 3,
+        "generators": 2,
+        "seed": 7,
+        "ok": False,
+        "results": [
+            {"name": "counit", "passed": True, "detail": ""},
+            {"name": "shuffle-A1", "passed": False, "detail": "at ab: 1 != 2"},
+        ],
+    }
+    given = [transforms.CheckResult("counit", True)]
+    assert transforms.VerifyReport(1, 1, 1, given).results is given
+
+
+def test_verify_suite_results_carry_name_passed_and_detail():
+    first = verify_suite(2, 1).results[0]
+    assert (first.name, first.passed, first.detail) == (CHECKS[0], True, "")
 
 
 def test_verify_suite_rejects_out_of_range_requests():
