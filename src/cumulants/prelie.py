@@ -110,8 +110,8 @@ class InfChar:
 
     @classmethod
     def _trusted(cls, n_letters: int, max_degree: int, table) -> "InfChar":
-        """The kernels' constructor: `table` must already hold a Fraction on
-        every word up to the bound, in ascending degree; nothing is checked."""
+        """For a table already built or checked: a Fraction on every word up to
+        the bound, in ascending degree.  It is kept as is, and not checked."""
         c = cls.__new__(cls)
         c.n_letters = n_letters
         c.max_degree = max_degree

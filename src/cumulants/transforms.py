@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from . import forms, partitions, prelie
 from .coproducts import (
@@ -149,7 +149,7 @@ def random_table(kind: str, generators, max_degree: int, seed) -> CumulantTable:
 
 
 def _infchar(table: CumulantTable) -> prelie.InfChar:
-    return prelie.InfChar(table.n_letters, table.max_degree, table.values)
+    return prelie.InfChar._trusted(table.n_letters, table.max_degree, table.values)
 
 
 def _check_degree_cap(c: CumulantTable) -> None:
@@ -244,8 +244,7 @@ def _solve_free(m: CumulantTable) -> dict[Word, Fraction]:
                 if r:
                     d = q * s
                     sums[d] = sums.get(d, 0) - c * p * r
-        den = lcm(*sums)
-        kappa[w] = Fraction(sum(n * (den // d) for d, n in sums.items()), den)
+        kappa[w] = prelie._fraction(sums)
     return kappa
 
 
@@ -255,8 +254,7 @@ def _solve_boolean(m: CumulantTable) -> dict[Word, Fraction]:
     # With L the moments' least common denominator and M = L m, it runs in
     # integers: B(w) = L^n beta(w) is L^(n-1) M(w) minus the terms
     # B(w[:j]) L^(n-j-1) M(w[j:]), and each word builds one Fraction.
-    scale = lcm(*(v.denominator for v in m.values.values()))
-    num = {w: v.numerator * (scale // v.denominator) for w, v in m.values.items()}
+    scale, num = prelie._numerators(m.values)
     powers = [scale**k for k in range(m.max_degree + 1)]
     b: dict[Word, int] = {}
     beta: dict[Word, Fraction] = {}
@@ -288,7 +286,7 @@ def moments_to_cumulants(m: CumulantTable, target: str) -> CumulantTable:
     else:
         values = _solve_free(m)
     if target == "monotone":
-        free = prelie.InfChar(m.n_letters, m.max_degree, values)
+        free = prelie.InfChar._trusted(m.n_letters, m.max_degree, values)
         values = _CONVERSIONS[("free", "monotone")](free).table
     return CumulantTable(target, m.generators, m.max_degree, values)
 

@@ -126,9 +126,10 @@ def total_table(
     table: dict[Word, Fraction] = {}
     for w in all_words(n_letters, max_degree):
         try:
-            table[w] = Fraction(given.pop(w))
+            v = given.pop(w)
         except KeyError:
             raise IncompleteTableError(missing(w), word=w) from None
+        table[w] = v if type(v) is Fraction else Fraction(v)
     if given:
         stray = list(given)
         bad = min(stray) if all(isinstance(k, Word) for k in stray) else stray[0]
