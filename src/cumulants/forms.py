@@ -1,10 +1,11 @@
 """Lazily evaluated linear forms on the bar-word algebra.
 
 A Form is a node in an expression DAG.  Evaluation at a bar-word is exact
-(Fraction) and memoized per node, so repeated evaluation of shared
-subexpressions costs nothing beyond the first pass.  Nodes are immutable
-once built; the only mutable state is the per-node memo dict, which is an
-idempotent cache, so concurrent readers are safe.
+(Fraction) and memoized per node, keyed by the bar-word's id in the
+`coproducts` registry, so repeated evaluation of shared subexpressions
+costs nothing beyond the first pass.  Nodes are immutable once built; the
+only mutable state is the per-node memo dict, which is an idempotent
+cache, so concurrent readers are safe.
 
 Conventions, with e the counit (1 on the unit bar-word, else 0):
 
@@ -23,14 +24,17 @@ Conventions, with e the counit (1 on the unit bar-word, else 0):
   * exp_star and log_star are power series in a base form vanishing on the
     unit, finite sums at every input, so no truncation parameter appears.
 
-`Conv._eval` is the one loop over a coproduct here.  It reads every operand
-value through `Form.eval`, as one integer ratio, and sums the terms
-c * f(x) * g(y) in integers, one numerator sum per denominator product (the
-coproduct coefficients c are ints), then builds one Fraction per evaluation
-over the groups' lcm.  The power series sum their terms the same way, with
-integer-pair coefficients.  The full coproduct of the unit
-is the one term 1 (x) 1, so the loop itself gives f(1) * g(1) there; only
-the half convolutions, undefined on the unit, take the rule above.  It
+`Conv._eval` is the one loop over a coproduct here.  It walks the cached
+(x id, y id, c) terms and reads each operand value from the operand's memo
+by id, calling `Form.eval` only on a miss, so every value computed goes
+through `eval`.  It reads each value as one integer ratio and sums the
+terms c * f(x) * g(y) in integers, one numerator sum per denominator
+product (the coproduct coefficients c are ints), then builds one Fraction
+per evaluation over the groups' lcm.  The power series sum their terms the
+same way, with integer-pair coefficients, starting from the counit and the
+base as powers 0 and 1.  The full coproduct of the unit is the one term
+1 (x) 1, so the loop itself gives f(1) * g(1) there; only the half
+convolutions, undefined on the unit, take the rule above.  It
 shares no code with the word-table kernels in `prelie`, which `verify`
 checks it against.  Negation, the only scaling the package needs, is the
 node `Neg`, behind `-f` and `f - g`.
@@ -45,7 +49,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .coproducts import coproduct, coproduct_left, coproduct_right
+from .coproducts import (
+    BARWORDS,
+    bar_id,
+    coproduct_left_terms,
+    coproduct_right_terms,
+    coproduct_terms,
+)
 from .errors import IncompleteTableError, InvalidFormError
 from .words import UNIT, BarWord, Word, barword_str, lift
 
@@ -59,14 +69,14 @@ class Form:
     __slots__ = ("_memo",)
 
     def __init__(self):
-        self._memo: dict[BarWord, Fraction] = {}
+        self._memo: dict[int, Fraction] = {}  # by bar-word id
 
     def eval(self, u: BarWord) -> Fraction:
+        i = bar_id(u)
         memo = self._memo
-        value = memo.get(u)
+        value = memo.get(i)
         if value is None:
-            value = self._eval(u)
-            memo[u] = value
+            value = memo[i] = self._eval(u)
         return value
 
     def eval_word(self, w: Word) -> Fraction:
@@ -176,7 +186,11 @@ CONV = "conv"
 LEFT = "left"
 RIGHT = "right"
 
-_SPLITTERS = {CONV: coproduct, LEFT: coproduct_left, RIGHT: coproduct_right}
+_SPLITTERS = {
+    CONV: coproduct_terms,
+    LEFT: coproduct_left_terms,
+    RIGHT: coproduct_right_terms,
+}
 
 
 class Conv(Form):
@@ -197,15 +211,23 @@ class Conv(Form):
             if self.kind == LEFT:
                 return self.f.eval(u) if isinstance(self.g, Counit) else _ZERO
             return self.g.eval(u) if isinstance(self.f, Counit) else _ZERO
-        f_eval, g_eval = self.f.eval, self.g.eval
+        f, g = self.f, self.g
+        f_memo, g_memo = f._memo, g._memo
+        bars = BARWORDS
         # Each operand value is read as one integer ratio, and the terms are
         # summed per denominator product: the coefficients c are ints, so no
         # term builds or normalises a Fraction.
         sums: dict[int, int] = {}
-        for (x, y), c in _SPLITTERS[self.kind](u).items():
-            p, q = f_eval(x).as_integer_ratio()
+        for x, y, c in _SPLITTERS[self.kind](bar_id(u)):
+            value = f_memo.get(x)
+            if value is None:
+                value = f.eval(bars[x])
+            p, q = value.as_integer_ratio()
             if p:
-                r, s = g_eval(y).as_integer_ratio()
+                value = g_memo.get(y)
+                if value is None:
+                    value = g.eval(bars[y])
+                r, s = value.as_integer_ratio()
                 if r:
                     d = q * s
                     sums[d] = sums.get(d, 0) + c * p * r
@@ -248,7 +270,7 @@ class _PowerSeries(Form):
         super().__init__()
         self.base = base
         self._coeff = coeff
-        self._powers: list[Form] = [COUNIT]
+        self._powers: list[Form] = [COUNIT, base]
 
     def _power(self, j: int) -> Form:
         powers = self._powers

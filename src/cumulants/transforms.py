@@ -32,13 +32,17 @@ from math import factorial, prod
 
 from . import forms, partitions, prelie
 from .coproducts import (
+    BARWORDS,
+    bar_id,
     coproduct,
     coproduct_left,
     coproduct_left_reduced,
+    coproduct_left_terms,
     coproduct_reduced,
     coproduct_right,
     coproduct_right_reduced,
     iterated_reduced_left,
+    terms_of,
 )
 from .errors import IncompleteTableError, RouteDisagreementError
 from .words import (
@@ -229,22 +233,28 @@ def _solve_free(m: CumulantTable) -> dict[Word, Fraction]:
     # Unfold Phi = e + kappa < Phi: the full-extraction term is kappa(w)
     # itself, every other term pairs a shorter kappa value with moments.
     # Each word sums m(w) minus those terms in integers, one numerator sum
-    # per denominator product, and builds one Fraction over their lcm.
+    # per denominator product, and builds one Fraction over their lcm.  The
+    # left legs are lifted shorter words, so their kappa values are looked
+    # up as integer ratios by bar-word id.
     phi = forms.CharacterFromWords(m.values)
+    bars = BARWORDS
     kappa: dict[Word, Fraction] = {}
+    ratios: dict[int, tuple[int, int]] = {}
     for w in _words_of(m):
         p, q = m.values[w].as_integer_ratio()
         sums = {q: p}
-        for (x, y), c in coproduct_left(lift(w)).items():
-            if y.is_unit:
+        i = bar_id(lift(w))
+        for x, y, c in coproduct_left_terms(i):
+            if not y:
                 continue
-            p, q = kappa[x[0]].as_integer_ratio()
+            p, q = ratios[x]
             if p:
-                r, s = phi.eval(y).as_integer_ratio()
+                r, s = phi.eval(bars[y]).as_integer_ratio()
                 if r:
                     d = q * s
                     sums[d] = sums.get(d, 0) - c * p * r
-        kappa[w] = prelie._fraction(sums)
+        value = kappa[w] = prelie._fraction(sums)
+        ratios[i] = value.as_integer_ratio()
     return kappa
 
 
@@ -453,20 +463,40 @@ def _first_failure(inputs, holds, describe=_describe):
     return next((f"at {describe(u)}" for u in inputs if not holds(u)), None)
 
 
-def _split_leg(pairs: dict, leg: int, split) -> dict:
-    """Apply a splitting to the left (0) or right (1) leg of every pair,
-    producing triples."""
+def _split_leg(terms, leg: int, split) -> dict:
+    """Apply a splitting to the left (0) or right (1) leg of every
+    (x id, y id, count) term, producing id triples with their counts.
+
+    `split` maps a bar-word id to its id terms."""
     acc: dict = {}
-    for (x, y), c in pairs.items():
+    for x, y, c in terms:
         if leg == 0:
-            for (x1, x2), d in split(x).items():
+            for x1, x2, d in split(x):
                 key = (x1, x2, y)
                 acc[key] = acc.get(key, 0) + c * d
         else:
-            for (y1, y2), d in split(y).items():
+            for y1, y2, d in split(y):
                 key = (x, y1, y2)
                 acc[key] = acc.get(key, 0) + c * d
     return acc
+
+
+def _terms_by_id(split):
+    """A bar-word map read as id terms, each bar-word converted once."""
+    memo: dict[int, tuple] = {}
+
+    def terms(i: int) -> tuple:
+        found = memo.get(i)
+        if found is None:
+            found = memo[i] = terms_of(split(BARWORDS[i]))
+        return found
+
+    return terms
+
+
+def _as_barwords(triples: dict) -> dict:
+    """Id triples with their counts, keyed by bar-words again."""
+    return {tuple(BARWORDS[i] for i in key): c for key, c in triples.items()}
 
 
 def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport:
@@ -508,11 +538,18 @@ def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport
     ]
 
     def check_coassociative(name, inputs, first, left_leg, second, right_leg):
-        detail = _first_mismatch(
-            inputs,
-            lambda u: _split_leg(first(u), 0, left_leg),
-            lambda u: _split_leg(second(u), 1, right_leg),
-        )
+        # The identities are about the bar-word maps themselves: each map is
+        # read once per bar-word, and both sides are compared as id triples.
+        by_id = {fn: _terms_by_id(fn) for fn in {first, left_leg, second, right_leg}}
+        detail = None
+        for u in inputs:
+            i = bar_id(u)
+            left = _split_leg(by_id[first](i), 0, by_id[left_leg])
+            right = _split_leg(by_id[second](i), 1, by_id[right_leg])
+            if left != right:
+                left, right = _as_barwords(left), _as_barwords(right)
+                detail = f"at {_describe(u)}: {left} != {right}"
+                break
         check(name, detail)
 
     def counit_contract(u):

@@ -12,17 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cumulants.coproducts import (
+    BARWORDS,
+    bar_id,
     coproduct,
     coproduct_left,
     coproduct_left_reduced,
+    coproduct_left_terms,
     coproduct_reduced,
     coproduct_right,
     coproduct_right_reduced,
+    coproduct_right_terms,
+    coproduct_terms,
     iterated_reduced_left,
     reduced_linearised,
     split_product,
 )
-from cumulants.words import UNIT, BarWord, Word, all_barwords, all_words, lift
+from cumulants.transforms import verify_suite
+from cumulants.words import UNIT, BarWord, Word, all_barwords, all_words, bar_concat, lift
 
 A = Word((0,))
 B = Word((1,))
@@ -272,3 +278,79 @@ def test_one_factor_splits_match_the_position_set_definition(w):
     assert coproduct(u) == split_by_position_sets(w, lambda s: True)
     assert coproduct_left(u) == split_by_position_sets(w, lambda s: 1 in s)
     assert coproduct_right(u) == split_by_position_sets(w, lambda s: 1 not in s)
+
+
+# The bar-word registry and the id terms the three maps cache.
+
+
+def bar_product(s, t):
+    """Componentwise bar-concatenation of two leg-pair count dicts, written
+    on bar-words: the oracle for the product on ids."""
+    total = {}
+    for (x1, y1), c1 in s.items():
+        for (x2, y2), c2 in t.items():
+            key = (bar_concat(x1, x2), bar_concat(y1, y2))
+            total[key] = total.get(key, 0) + c1 * c2
+    return total
+
+
+def slice_formula(u, keep_first):
+    """A map on u from the position-set definition: the first factor split
+    by the sets that keep_first admits, every later factor by all sets."""
+    first, *rest = u
+    out = split_by_position_sets(first, keep_first)
+    for w in rest:
+        out = bar_product(out, split_by_position_sets(w, lambda s: True))
+    return out
+
+
+ID_TERM_MAPS = (
+    (coproduct_terms, lambda s: True),
+    (coproduct_left_terms, lambda s: 1 in s),
+    (coproduct_right_terms, lambda s: 1 not in s),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(barwords(), barwords())
+def test_registry_ids_and_id_terms_match_the_slice_formula(u, v):
+    assert bar_id(UNIT) == 0 and BARWORDS[0] == UNIT
+    # equal bar-words share an id, and an id names one bar-word, so
+    # distinct bar-words get distinct ids
+    assert bar_id(BarWord(list(u))) == bar_id(u)
+    assert BARWORDS[bar_id(u)] == u and BARWORDS[bar_id(v)] == v
+    assert (bar_id(u) == bar_id(v)) == (u == v)
+    for terms_of_id, keep_first in ID_TERM_MAPS:
+        read_back = {}
+        for x, y, c in terms_of_id(bar_id(u)):
+            assert (BARWORDS[x], BARWORDS[y]) not in read_back
+            read_back[BARWORDS[x], BARWORDS[y]] = c
+        assert read_back == slice_formula(u, keep_first), (terms_of_id.__name__, u)
+
+
+def test_the_registry_refuses_a_word():
+    with pytest.raises(TypeError):
+        bar_id(Word((0, 1)))
+
+
+def test_verify_caches_int_triples_and_registers_each_bar_word_once():
+    for terms_of_id, _ in ID_TERM_MAPS:
+        terms_of_id.cache_clear()
+    assert verify_suite(4, 2).ok
+    sizes = [terms_of_id.cache_info().currsize for terms_of_id, _ in ID_TERM_MAPS]
+    # every bar-word that verify reaches is probed; the probes add no entry,
+    # so each was cached, and as many were probed as are cached
+    bars = list(all_barwords(2, 4, include_unit=True))
+    probed = []
+    for terms_of_id, _ in ID_TERM_MAPS:
+        ids = [bar_id(u) for u in bars if u or terms_of_id is coproduct_terms]
+        probed.append(len(ids))
+        for i in ids:
+            for term in terms_of_id(i):
+                assert type(term) is tuple and len(term) == 3, term
+                assert all(type(n) is int for n in term), term
+    assert [terms_of_id.cache_info().currsize for terms_of_id, _ in ID_TERM_MAPS] == sizes
+    assert probed == sizes
+    assert all(type(u) is BarWord for u in BARWORDS)
+    assert len(set(BARWORDS)) == len(BARWORDS)
+    assert [bar_id(u) for u in BARWORDS] == list(range(len(BARWORDS)))

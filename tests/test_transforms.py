@@ -365,7 +365,13 @@ def test_the_one_block_partition_weighs_one_under_the_backward_sums():
 def test_split_leg_equals_the_slice_formula(split):
     # the triples as the concatenation pair[:leg] + legs + pair[leg + 1:];
     # the halves are undefined on the unit, so they split only the pairs
-    # whose leg is not the unit
+    # whose leg is not the unit; _split_leg works on ids, and its triples
+    # are read back through the registry
+    split_terms = {
+        coproducts.coproduct: coproducts.coproduct_terms,
+        coproducts.coproduct_left: coproducts.coproduct_left_terms,
+        coproducts.coproduct_right: coproducts.coproduct_right_terms,
+    }[split]
     for u in all_barwords(2, 4, include_unit=True):
         for leg in (0, 1):
             pairs = {
@@ -378,7 +384,11 @@ def test_split_leg_equals_the_slice_formula(split):
                 for legs, d in split(pair[leg]).items():
                     key = pair[:leg] + legs + pair[leg + 1 :]
                     expected[key] = expected.get(key, 0) + c * d
-            assert transforms._split_leg(pairs, leg, split) == expected, (u, leg)
+            triples = transforms._split_leg(coproducts.terms_of(pairs), leg, split_terms)
+            got = {
+                tuple(coproducts.BARWORDS[i] for i in key): c for key, c in triples.items()
+            }
+            assert got == expected, (u, leg)
 
 
 def test_verify_suite_passes_on_several_seeds():
@@ -704,7 +714,11 @@ def test_a_skewed_moment_kernel_is_caught_at_its_word(kind, monkeypatch):
     ],
 )
 def test_converting_a_cumulant_table_builds_no_form(source, target, monkeypatch):
-    caches = (coproducts.coproduct, coproducts.coproduct_left, coproducts.coproduct_right)
+    caches = (
+        coproducts.coproduct_terms,
+        coproducts.coproduct_left_terms,
+        coproducts.coproduct_right_terms,
+    )
     for cache in caches:
         cache.cache_clear()
 
