@@ -26,11 +26,7 @@ from .errors import (
     RouteDisagreementError,
     TableFormatError,
 )
-from .partitions import (
-    _FAMILIES,
-    block_str,
-    enumerate_monotone,
-)
+from .partitions import _FAMILIES, block_str, enumerate_nc, linear_extensions
 from .tablefile import normalize_kind, parse_table, render_table
 from .transforms import (
     KINDS,
@@ -189,8 +185,11 @@ def _cmd_partitions(args) -> int:
             return _fail("--stats applies to partition families, not monotone pairs")
         if not 1 <= n <= _MONOTONE_CAP:
             return _fail(f"--n must be 1..{_MONOTONE_CAP} for the monotone family")
+        # NC(n), enumerated once, with each partition's outer-first block
+        # orders; fed in by block count, the sort mostly merges sorted runs
+        by_count = sorted(enumerate_nc(n), key=lambda p: p.num_blocks)
         orders = sorted(
-            (pair[1] for q in range(1, n + 1) for pair in enumerate_monotone(n, q)),
+            (order for p in by_count for order in linear_extensions(p)),
             key=lambda order: (len(order), order),
         )
         lines = [" < ".join(map(block_str, order)) for order in orders]

@@ -17,7 +17,9 @@ the partitions of the gaps around it, and the same recursion gives its tree
 factorial tau!, which the enumerated SetPartition carries.  The recursion
 is two module-level functions, `_grow` and `_gap`, that share one memo dict
 per enumeration: every gap is an interval, partitioned once and read by
-every partition around it, and the memo goes when the enumeration does.
+every partition around it.  Each returns a gap's records as two parallel
+lists, the blocks and the tau!, built by list comprehensions; the memo goes
+when the outermost `_grow` returns, before the SetPartitions are built.
 Interval partitions are built one per composition of n, from
 `words.compositions`, and have tau! = 1.  The 1/tau! weights read the
 recorded value, so no partition is scanned again for its nesting forest;
@@ -79,17 +81,6 @@ class SetPartition:
         self.n = n
         self.blocks = cleaned
         self.tau = None
-
-    @classmethod
-    def _trusted(cls, n: int, blocks: tuple, tau: int) -> "SetPartition":
-        """The enumerators' constructor: `blocks` must already be sorted
-        tuples that partition 1..n, ordered by minimum, and `tau` their tree
-        factorial; nothing is checked."""
-        p = cls.__new__(cls)
-        p.n = n
-        p.blocks = blocks
-        p.tau = tau
-        return p
 
     @property
     def num_blocks(self) -> int:
@@ -157,83 +148,93 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be between 1 and {MAX_N}, got {n}")
 
 
-def _nc_blocks(n: int, closed: bool = False):
-    """Non-crossing partitions of [n], as (blocks, tau) records: the blocks
-    as sorted tuples ordered by minimum, and tau the tree factorial of the
-    partition's nesting forest.
+def _gap(gaps: dict, lo: int, hi: int) -> tuple[list, list]:
+    """The records of lo..hi-1, kept in the memo, as parallel lists of
+    blocks and of tau: a pair per record would hold about 5 MB more at n = 12."""
+    found = gaps.get((lo, hi))
+    if found is None:
+        found = gaps[lo, hi] = _grow(gaps, lo, hi, False)
+    return found
 
-    Decomposes on the block B of the smallest element: the rest of B is any
-    subset of the remaining positions, and the leftover positions fall into
-    gaps, each partitioned independently (nothing may cross B).  The blocks
-    of the inner gaps, between consecutive members of B, make up B's
-    subtree of the nesting forest, and those of the trailing gap, after B's
-    last member, are its siblings and their subtrees.  So
+
+def _grow(gaps: dict, first: int, stop: int, closed: bool) -> tuple[list, list]:
+    """Non-crossing partitions of first..stop-1 (first < stop), as (blocks,
+    tau) records in two parallel lists: the blocks as sorted tuples ordered
+    by minimum, and tau the tree factorial of the partition's nesting forest.
+
+    Decomposes on the block B of `first`: the rest of B is any subset of the
+    remaining positions, and the leftover positions fall into gaps, each
+    partitioned independently (nothing may cross B) and read through `_gap`.
+    The blocks of the inner gaps, between consecutive members of B, make up
+    B's subtree of the nesting forest, and those of the trailing gap, after
+    B's last member, are its siblings and their subtrees.  So
     tau = (1 + k_inner) * prod(tau of the inner gaps) * tau(trailing gap),
     where k_inner counts the blocks of the inner gaps.  With `closed` the
-    block of 1 also holds n, which gives the irreducible partitions without
-    building the others.
+    block of `first` also holds stop-1, which gives the irreducible
+    partitions without building the others; their trailing gap is empty.
     """
-    return _grow({}, 1, n + 1, closed)
-
-
-def _gap(gaps: dict, lo: int, hi: int) -> tuple:
-    """The records of lo..hi-1, kept in the memo, as parallel tuples of
-    blocks and of tau: a pair per record would hold about 5 MB more at n = 12."""
-    if (lo, hi) not in gaps:
-        gaps[lo, hi] = tuple(zip(*_grow(gaps, lo, hi, False)))
-    return gaps[lo, hi]
-
-
-def _grow(gaps: dict, first: int, stop: int, closed: bool):
-    """The records of first..stop-1; see _nc_blocks."""
-    if first >= stop:
-        yield (), 1
-        return
     rest = range(first + 1, stop)
     free, forced = (rest[:-1], (stop - 1,)) if closed and rest else (rest, ())
+    found, found_taus = [], []
     for r in range(len(free) + 1):
         for chosen in itertools.combinations(free, r):
             block = (first,) + chosen + forced
-            # block with each choice of its subtree, as (blocks, product of
-            # the inner gaps' tau) while the inner gaps are filled in, then
-            # as (blocks, tau of the subtree)
-            trees = [((block,), 1)]
+            # block with each choice of its subtree, with the product of the
+            # inner gaps' tau while the inner gaps are filled in, then with
+            # the tau of the subtree
+            trees, taus = [(block,)], [1]
             for lo, hi in zip(block, block[1:]):
                 if hi > lo + 1:
-                    trees = [
-                        (below + inner, tau * inner_tau)
-                        for below, tau in trees
-                        for inner, inner_tau in zip(*_gap(gaps, lo + 1, hi))
-                    ]
-            trees = [(below, len(below) * tau) for below, tau in trees]
-            trailing = _gap(gaps, block[-1] + 1, stop)
-            for below, tau in trees:
-                for after, after_tau in zip(*trailing):
-                    yield below + after, tau * after_tau
+                    inner, inner_taus = _gap(gaps, lo + 1, hi)
+                    trees = [below + b for below in trees for b in inner]
+                    taus = [tau * t for tau in taus for t in inner_taus]
+            taus = [len(below) * tau for below, tau in zip(trees, taus)]
+            if block[-1] + 1 == stop:
+                found += trees
+                found_taus += taus
+            else:
+                after, after_taus = _gap(gaps, block[-1] + 1, stop)
+                found += [below + b for below in trees for b in after]
+                found_taus += [tau * t for tau in taus for t in after_taus]
+    return found, found_taus
+
+
+def _built(n: int, found, taus) -> list[SetPartition]:
+    """The enumerators' SetPartitions: each of `found` must already be sorted
+    tuples that partition 1..n, ordered by minimum, with its tree factorial
+    in `taus`; nothing is checked."""
+    new = SetPartition.__new__
+    out = []
+    for blocks, tau in zip(found, taus):
+        p = new(SetPartition)
+        p.n = n
+        p.blocks = blocks
+        p.tau = tau
+        out.append(p)
+    return out
 
 
 def enumerate_nc(n: int) -> list[SetPartition]:
     """All non-crossing partitions of [n] (Catalan many)."""
     _check_n(n)
-    return [SetPartition._trusted(n, blocks, tau) for blocks, tau in _nc_blocks(n)]
+    return _built(n, *_grow({}, 1, n + 1, False))
 
 
 def enumerate_irreducible_nc(n: int) -> list[SetPartition]:
     """Non-crossing partitions whose block of 1 also contains n."""
     _check_n(n)
-    return [SetPartition._trusted(n, b, tau) for b, tau in _nc_blocks(n, closed=True)]
+    return _built(n, *_grow({}, 1, n + 1, True))
 
 
 def enumerate_interval(n: int) -> list[SetPartition]:
     """Partitions into consecutive blocks, one per composition of n."""
     _check_n(n)
-    out = []
+    found = []
     for parts in compositions(n):
         cuts = (0, *itertools.accumulate(parts))
-        blocks = tuple(tuple(range(a + 1, b + 1)) for a, b in zip(cuts, cuts[1:]))
-        # no block nests in another, so the tree factorial is 1
-        out.append(SetPartition._trusted(n, blocks, 1))
-    return out
+        found.append(tuple(tuple(range(a + 1, b + 1)) for a, b in zip(cuts, cuts[1:])))
+    # no block nests in another, so the tree factorial is 1
+    return _built(n, found, itertools.repeat(1))
 
 
 def tree_factorial(p: SetPartition) -> int:
@@ -371,13 +372,17 @@ def _shapes(n: int, family: str, weight: str) -> tuple:
         index.default_factory = index.__len__
         at = index.__getitem__
         groups: dict = {}
+        group = groups.get
         found = _FAMILIES[family](n)
         # Popped from the end, each partition is freed once it is read, so
         # the finished shape never sits beside the whole list.
         found.reverse()
         while found:
             p = found.pop()
-            members = groups.setdefault((len(p.blocks), *weigh(p)), [])
+            kind = (len(p.blocks), *weigh(p))
+            members = group(kind)
+            if members is None:
+                members = groups[kind] = []
             members.append(tuple(map(at, p.blocks)))
         scale = lcm(*(den for _, _, den in groups))
         blocks = tuple(tuple(x - 1 for x in b) for b in index)

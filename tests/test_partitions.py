@@ -182,16 +182,22 @@ def test_a_hand_built_partition_weighs_as_the_enumerated_one():
                 assert partitions.WEIGHTS[weight](q) == partitions.WEIGHTS[weight](p)
 
 
-def test_enumeration_holds_no_gap_records_once_done():
+@pytest.mark.parametrize(
+    "enumerate_family,count",
+    [(enumerate_nc, catalan(10)), (enumerate_irreducible_nc, catalan(9))],
+    ids=["nc", "irr-nc"],
+)
+def test_enumeration_holds_no_gap_records_once_done(enumerate_family, count):
     # With the cyclic collector off, whatever the enumeration keeps alive
     # after it returns stays among the tracked objects.  (Traced bytes would
     # also count the small tuples the interpreter keeps for reuse, which
-    # move by 0.1-0.2 MB between runs.)
+    # move by 0.1-0.2 MB between runs.)  The irr-nc case runs the closed
+    # path, where every block of 1 ends at n and skips the trailing gap.
     gc.disable()
     try:
-        enumerate_nc(10)
+        enumerate_family(10)
         before = {id(o) for o in gc.get_objects()}
-        assert len(enumerate_nc(10)) == catalan(10)
+        assert len(enumerate_family(10)) == count
         kept = [o for o in gc.get_objects() if id(o) not in before and o is not before]
     finally:
         gc.enable()
