@@ -9,15 +9,22 @@ Three commands:
 Exit codes: 0 success, 1 usage or malformed input, 2 structurally valid
 but incomplete input (missing words for the requested degree), 3 broken
 internal invariant (route disagreement or a failed identity check).
+
+The options live in one table, `_COMMANDS`, which also prints `-h`.  A
+small parser reads the command line by argparse's rules, without paying
+for argparse's import and parser construction on every call: `--opt value`,
+`--opt=value`, a unique prefix of a long option, `-i x`, `-ix` and `-i=x`;
+the last of a repeated option wins.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from math import factorial
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import (
@@ -39,105 +46,6 @@ from .transforms import (
 
 _PARTITION_CAP = 10
 _MONOTONE_CAP = 8
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; 2 means incomplete data here,
-    # so route usage problems to exit code 1 instead.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _kind(raw: str) -> str:
-    try:
-        return normalize_kind(raw)
-    except TableFormatError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cumulants",
-        description="Exact conversions between moments and cumulants.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    convert = sub.add_parser(
-        "convert",
-        help="convert a table file between moment and cumulant kinds",
-    )
-    convert.add_argument("-i", "--input", required=True, help="input table file")
-    convert.add_argument(
-        "-o", "--output", help="output file (default: standard output)"
-    )
-    convert.add_argument(
-        "--to",
-        dest="target",
-        required=True,
-        type=_kind,
-        metavar="{" + ",".join(KINDS) + "}",
-        help="kind to convert to",
-    )
-    convert.add_argument(
-        "--from",
-        dest="source",
-        type=_kind,
-        metavar="{" + ",".join(KINDS) + "}",
-        help="expected kind of the input file (checked, never inferred)",
-    )
-    convert.add_argument(
-        "--max-degree",
-        type=int,
-        help="truncate the input to this degree before converting",
-    )
-    convert.set_defaults(run=_cmd_convert)
-
-    verify = sub.add_parser(
-        "verify",
-        help="run every identity family on seeded random tables",
-    )
-    verify.add_argument(
-        "--degree",
-        type=int,
-        help=f"degree bound, 1..{VERIFY_DEGREE_CAP} "
-        "(default depends on the generator count)",
-    )
-    verify.add_argument(
-        "--generators",
-        type=int,
-        default=2,
-        help=f"number of generators, 1..{VERIFY_LETTERS_CAP} (default 2)",
-    )
-    verify.add_argument("--seed", type=int, default=1, help="random seed (default 1)")
-    verify.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    verify.set_defaults(run=_cmd_verify)
-
-    parts = sub.add_parser(
-        "partitions",
-        help="list a partition family with optional statistics",
-    )
-    parts.add_argument("--n", type=int, required=True, help="number of points")
-    parts.add_argument(
-        "--family",
-        choices=(*_FAMILIES, "monotone"),
-        default="nc",
-        help="partition family (default nc)",
-    )
-    parts.add_argument(
-        "--stats",
-        action="store_true",
-        help="append tree factorial and monotone labelling counts",
-    )
-    parts.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    parts.set_defaults(run=_cmd_partitions)
-
-    return parser
 
 
 def _fail(message: str) -> int:
@@ -225,15 +133,238 @@ def _cmd_partitions(args) -> int:
     return 0
 
 
+# The command line as one table: each command's run function, help line
+# and options.  An option is (flags, dest, conv, default, required, help);
+# conv reads its value and is a function (str, int, normalize_kind), a
+# tuple of the allowed choices, or None for a flag, which takes no value.
+_FORMAT = (("--format",), "format", ("text", "json"), "text", False, "output format")
+_COMMANDS = {
+    "convert": (
+        _cmd_convert,
+        "convert a table file between moment and cumulant kinds",
+        (
+            (("-i", "--input"), "input", str, None, True, "input table file"),
+            (("-o", "--output"), "output", str, None, False,
+             "output file (default: standard output)"),
+            (("--to",), "target", normalize_kind, None, True, "kind to convert to"),
+            (("--from",), "source", normalize_kind, None, False,
+             "expected kind of the input file (checked, never inferred)"),
+            (("--max-degree",), "max_degree", int, None, False,
+             "truncate the input to this degree before converting"),
+        ),
+    ),
+    "verify": (
+        _cmd_verify,
+        "run every identity family on seeded random tables",
+        (
+            (("--degree",), "degree", int, None, False,
+             f"degree bound, 1..{VERIFY_DEGREE_CAP} "
+             "(default depends on the generator count)"),
+            (("--generators",), "generators", int, 2, False,
+             f"number of generators, 1..{VERIFY_LETTERS_CAP} (default 2)"),
+            (("--seed",), "seed", int, 1, False, "random seed (default 1)"),
+            _FORMAT,
+        ),
+    ),
+    "partitions": (
+        _cmd_partitions,
+        "list a partition family with optional statistics",
+        (
+            (("--n",), "n", int, None, True, "number of points"),
+            (("--family",), "family", (*_FAMILIES, "monotone"), "nc", False,
+             "partition family (default nc)"),
+            (("--stats",), "stats", None, False, False,
+             "append tree factorial and monotone labelling counts"),
+            _FORMAT,
+        ),
+    ),
+}
+_HELP = (("-h", "--help"), "help", None, None, False, "show this help message and exit")
+_TOP = (
+    _HELP,
+    (("--version",), "version", None, None, False, "show program's version number and exit"),
+)
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class _UsageError(Exception):
+    """The command line cannot be read; exit code 1."""
+
+
+class _Stop(Exception):
+    """Parsing ends without running a command: `text` goes to standard
+    output with exit code 0 (help, version), or to standard error with exit
+    code 1 (a usage error)."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
+        self.text = text
+
+
+def _metavar(dest: str, conv) -> str:
+    if isinstance(conv, tuple):
+        return "{" + ",".join(conv) + "}"
+    if conv is normalize_kind:
+        return "{" + ",".join(KINDS) + "}"
+    return dest.upper()
+
+
+def _usage(prog: str, options, tail: str = "") -> str:
+    parts = [prog]
+    for flags, dest, conv, _, required, _ in options:
+        part = flags[0] if conv is None else f"{flags[0]} {_metavar(dest, conv)}"
+        parts.append(part if required else f"[{part}]")
+    return f"usage: {' '.join(parts)}{tail}\n"
+
+
+def _listing(title: str, rows) -> str:
+    width = max(len(left) for left, _ in rows)
+    return f"\n{title}:\n" + "".join(f"  {left:<{width}}  {text}\n" for left, text in rows)
+
+
+def _option_rows(options) -> list:
+    return [
+        (", ".join(flags) + ("" if conv is None else f" {_metavar(dest, conv)}"), text)
+        for flags, dest, conv, _, _, text in options
+    ]
+
+
+def _lookup(flags: dict, arg: str):
+    """What `arg` is, read as argparse reads it: None for a word (a value, a
+    command or a stray argument), else (option, attached value or None),
+    with option None when no option matches.  Long flags may be abbreviated
+    to a unique prefix; a short flag may carry its value (-ix, -i=x)."""
+    if not arg.startswith("-") or len(arg) == 1:
+        return None
+    if arg in flags:
+        return flags[arg], None
+    name, eq, value = arg.partition("=")
+    if eq and name in flags:
+        return flags[name], value
+    if arg == "--":
+        hits = []  # no command takes words after its options
+    elif arg.startswith("--"):
+        hits = [flag for flag in flags if flag.startswith(name)]
+        value = value if eq else None
+    else:
+        hits = [flag for flag in flags if flag == arg[:2]]
+        value = arg[2:]
+    if len(hits) > 1:
+        raise _UsageError(f"ambiguous option: {arg} could match {', '.join(hits)}")
+    if hits:
+        return flags[hits[0]], value
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _value(name: str, conv, text: str):
+    if isinstance(conv, tuple):
+        if text in conv:
+            return text
+        choices = ", ".join(map(repr, conv))
+        raise _UsageError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+    try:
+        return conv(text)
+    except TableFormatError as exc:
+        raise _UsageError(f"argument {name}: {exc}") from None
+    except ValueError:
+        raise _UsageError(f"argument {name}: invalid {conv.__name__} value: {text!r}") from None
+
+
+def _read(options, args: list) -> tuple[dict, list]:
+    """The values given to `options` in `args`, by dest, and the arguments
+    that name no option.  Reads left to right and stops at help or version,
+    so an error before that flag wins over it; the last of repeated options
+    wins; required options are checked at the end."""
+    flags = {flag: option for option in options for flag in option[0]}
+    # argparse classifies every argument before it reads any, so an
+    # ambiguous prefix is an error wherever it stands
+    kinds = [_lookup(flags, arg) for arg in args]
+    values: dict = {}
+    stray = []
+    i = 0
+    while i < len(args):
+        kind = kinds[i]
+        i += 1
+        if kind is None or kind[0] is None:
+            stray.append(args[i - 1])
+            continue
+        (names, dest, conv, *_), value = kind
+        name = "/".join(names)
+        if conv is None:
+            if value is not None:
+                raise _UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            if dest in ("help", "version"):
+                return {dest: True}, stray
+            value = True
+        else:
+            if value is None:
+                if i == len(args) or kinds[i] is not None:
+                    raise _UsageError(f"argument {name}: expected one argument")
+                value = args[i]
+                i += 1
+            value = _value(name, conv, value)
+        values[dest] = value
+    missing = ["/".join(names) for names, dest, _, _, required, _ in options
+               if required and dest not in values]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return values, stray
+
+
+def _parse(argv: list):
+    """The run function of the command that `argv` names and its options,
+    or _Stop for help, version and usage errors."""
+    usage = _usage("cumulants", _TOP, " {" + ",".join(_COMMANDS) + "} ...")
+    top_usage = usage
+    try:
+        top_flags = {flag: option for option in _TOP for flag in option[0]}
+        kinds = [_lookup(top_flags, arg) for arg in argv]
+        # the first word names the command; the rest belongs to it
+        k = kinds.index(None) if None in kinds else len(argv)
+        values, stray = _read(_TOP, argv[:k])
+        if "help" in values:
+            raise _Stop(0, f"{usage}\nExact conversions between moments and cumulants.\n"
+                        + _listing("commands", [(n, c[1]) for n, c in _COMMANDS.items()])
+                        + _listing("options", _option_rows(_TOP)))
+        if "version" in values:
+            raise _Stop(0, f"{__version__}\n")
+        if k == len(argv):
+            raise _UsageError("the following arguments are required: command")
+        command = argv[k]
+        if command not in _COMMANDS:
+            choices = ", ".join(map(repr, _COMMANDS))
+            raise _UsageError(
+                f"argument command: invalid choice: {command!r} (choose from {choices})"
+            )
+        run, summary, options = _COMMANDS[command]
+        usage = _usage(f"cumulants {command}", (_HELP, *options))
+        values, more = _read((_HELP, *options), argv[k + 1:])
+        if "help" in values:
+            raise _Stop(0, f"{usage}\n{summary}\n"
+                        + _listing("options", _option_rows((_HELP, *options))))
+        stray += more
+        if stray:
+            usage = top_usage
+            raise _UsageError(f"unrecognized arguments: {' '.join(stray)}")
+    except _UsageError as exc:
+        raise _Stop(1, f"{usage}cumulants: error: {exc}\n") from None
+    args = {dest: default for _, dest, _, default, _, _ in options}
+    args.update(values)
+    return run, SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 0 if code is None else 1
+        run, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _Stop as stop:
+        (sys.stdout if stop.code == 0 else sys.stderr).write(stop.text)
+        return stop.code
     try:
-        return args.run(args)
+        return run(args)
     except IncompleteTableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -242,7 +373,6 @@ def main(argv=None) -> int:
         return 3
     except (TableFormatError, InvalidFormError, ValueError, OSError) as exc:
         return _fail(str(exc))
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import TableFormatError
 from .transforms import KINDS, CumulantTable
-from .words import Word, word_str
+from .words import Word
 
 _RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
 
@@ -56,24 +56,37 @@ def parse_rational(raw) -> Fraction:
     )
 
 
+def _word_reader(generators: tuple[str, ...]):
+    """parse_word over fixed generators, with their index built once."""
+    index = {name: i for i, name in enumerate(generators)}
+    letter = index.__getitem__
+    concatenated = all(len(name) == 1 for name in generators)
+
+    def read(text: str) -> Word:
+        if not isinstance(text, str) or not text:
+            raise TableFormatError(f"word keys must be non-empty strings, got {text!r}")
+        tokens = text.split(".")
+        try:
+            return Word(map(letter, tokens))
+        except KeyError:
+            pass
+        if len(tokens) == 1 and concatenated:
+            try:
+                return Word(map(letter, text))
+            except KeyError as exc:
+                raise TableFormatError(
+                    f"word {text!r} uses a letter outside the generators {generators}"
+                ) from exc
+        raise TableFormatError(
+            f"cannot read the word {text!r} over the generators {generators}"
+        )
+
+    return read
+
+
 def parse_word(text: str, generators: tuple[str, ...]) -> Word:
     """A word from its file spelling, against a fixed generator tuple."""
-    if not isinstance(text, str) or not text:
-        raise TableFormatError(f"word keys must be non-empty strings, got {text!r}")
-    index = {name: i for i, name in enumerate(generators)}
-    tokens = text.split(".")
-    if all(tok in index for tok in tokens):
-        return Word(index[tok] for tok in tokens)
-    if len(tokens) == 1 and all(len(name) == 1 for name in generators):
-        try:
-            return Word(index[ch] for ch in text)
-        except KeyError as exc:
-            raise TableFormatError(
-                f"word {text!r} uses a letter outside the generators {generators}"
-            ) from exc
-    raise TableFormatError(
-        f"cannot read the word {text!r} over the generators {generators}"
-    )
+    return _word_reader(generators)(text)
 
 
 def _unique_keys(pairs) -> dict:
@@ -122,8 +135,9 @@ def parse_table(text: str) -> CumulantTable:
     if not isinstance(raw_values, dict):
         raise TableFormatError("values must be an object mapping words to rationals")
     values: dict[Word, Fraction] = {}
+    read_word = _word_reader(generators)
     for key, raw in raw_values.items():
-        w = parse_word(key, generators)
+        w = read_word(key)
         if w in values:
             raise TableFormatError(f"the word {key!r} appears twice")
         values[w] = parse_rational(raw)
@@ -136,8 +150,12 @@ def parse_table(text: str) -> CumulantTable:
 
 def render_table(table: CumulantTable) -> str:
     """Canonical JSON text for a table."""
-    # total_table built the values in all_words order, the canonical one
-    values = {word_str(w, table.generators): str(v) for w, v in table.values.items()}
+    # total_table built the values in all_words order, the canonical one;
+    # every word is non-empty and over the generators, so word_str's
+    # spelling comes down to one separator and one name lookup per letter
+    names = table.generators
+    sep = "" if all(len(name) == 1 for name in names) else "."
+    values = {sep.join(map(names.__getitem__, w)): str(v) for w, v in table.values.items()}
     doc = {
         "kind": table.kind,
         "generators": list(table.generators),

@@ -71,12 +71,28 @@ def _modules_loaded(code: str) -> set[str]:
     return set(done.stdout.split())
 
 
+_IMPORT_CLI = "import sys; sys.path.insert(0, sys.argv[1]); import cumulants.cli"
+# argparse brings gettext, whose first message lookup imports locale
+_PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
 def test_the_cli_import_pulls_in_no_introspection_modules():
     # Every `cumulants` call pays for the import of cumulants.cli; none of
-    # its commands needs the modules behind dataclasses.  Modules the
-    # interpreter loads at start-up are not counted against the package.
+    # its commands needs the modules behind dataclasses, nor argparse: the
+    # CLI reads its own option table.  Modules the interpreter loads at
+    # start-up are not counted against the package.
     started = _modules_loaded("")
-    loaded = _modules_loaded("import sys; sys.path.insert(0, sys.argv[1]); import cumulants.cli")
+    loaded = _modules_loaded(_IMPORT_CLI)
     assert "cumulants.cli" in loaded
-    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", *_PARSER_MODULES}
     assert sorted((loaded - started) & heavy) == []
+
+
+def test_a_convert_call_loads_no_argument_parser_modules(tmp_path):
+    table = Path(__file__).parent / "golden" / "moment-g2d4.json"
+    out = tmp_path / "free.json"
+    argv = ["convert", "-i", str(table), "--to", "free", "-o", str(out)]
+    started = _modules_loaded("")
+    loaded = _modules_loaded(f"{_IMPORT_CLI}; assert cumulants.cli.main({argv!r}) == 0")
+    assert out.read_text(encoding="utf-8").startswith('{\n  "kind": "free",')
+    assert sorted((loaded - started) & _PARSER_MODULES) == []
