@@ -30,7 +30,8 @@ from .errors import TableFormatError
 from .transforms import KINDS, CumulantTable
 from .words import Word
 
-_RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
+# the numerator and the optional denominator, as decimal integers
+_RATIONAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?\Z")
 
 _KIND_ALIASES = {"moments": "moment"}
 
@@ -49,8 +50,13 @@ def normalize_kind(raw) -> str:
 def parse_rational(raw) -> Fraction:
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
-    if isinstance(raw, str) and _RATIONAL.match(raw):
-        return Fraction(raw)
+    match = _RATIONAL.match(raw) if isinstance(raw, str) else None
+    if match:
+        # the value from the matched integers, without parsing raw again
+        numerator, denominator = match.groups()
+        if denominator is None:
+            return Fraction(int(numerator))
+        return Fraction(int(numerator), int(denominator))
     raise TableFormatError(
         f"values must be exact rationals like \"-3/4\", got {raw!r}"
     )

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 from math import factorial
 
+import prelie_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,15 +75,16 @@ _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_example
 
 
 @st.composite
-def tables(draw, n_letters, degree, zeros=0.2, wide=False):
+def tables(draw, n_letters, degree, zeros=0.2, wide=False, lowest=None):
     """A random InfChar, about a `zeros` share of its values zero, and zero
-    below a drawn degree so that the product's skipped low degrees are
-    exercised too.
+    below the degree `lowest`, drawn if not given, so that the product's
+    skipped low degrees are exercised too.
 
     With `wide`, the values of each degree share one denominator drawn up to
     10**6, so the common denominators the integer kernels scale by are wide
     and differ from degree to degree."""
-    lowest = draw(st.integers(1, degree + 1))
+    if lowest is None:
+        lowest = draw(st.integers(1, degree + 1))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     dens = [rng.randint(1, 10**6) for _ in range(degree)] if wide else None
     values = {}
@@ -204,6 +206,59 @@ def test_products_on_wide_denominators(n_letters, degree, data):
         assert list(c.table) == list(a.table)
         assert all(type(v) is F for v in c.table.values())
         assert InfChar(c.n_letters, c.max_degree, c.table) == c
+
+
+def assert_equals_the_reference(a, b):
+    """triangle, magnus and w_map equal the slicing kernels of
+    tests/prelie_reference.py exactly, word for word and in table order."""
+    for got, want in (
+        (triangle(a, b), reference.triangle(a, b)),
+        (magnus(a), reference.magnus(a)),
+        (w_map(a), reference.w_map(a)),
+    ):
+        assert got == want
+        assert list(got.table) == list(want.table)
+        assert all(type(v) is F for v in got.table.values())
+
+
+@pytest.mark.parametrize("n_letters, degree", [(1, 8), (2, 6), (3, 5), (4, 3)])
+@_PROPERTY
+@given(data=st.data())
+def test_kernels_equal_the_slicing_reference(n_letters, degree, data):
+    a = data.draw(tables(n_letters, degree, zeros=data.draw(st.sampled_from([0.2, 0.8]))))
+    b = data.draw(tables(n_letters, degree))
+    assert_equals_the_reference(a, b)
+
+
+@pytest.mark.parametrize("n_letters, degree", [(1, 7), (2, 6), (3, 4)])
+@settings(_PROPERTY, max_examples=5)
+@given(data=st.data())
+def test_kernels_equal_the_reference_on_operands_vanishing_at_low_degrees(
+    n_letters, degree, data
+):
+    # lowest(a) + lowest(b) <= degree, so triangle both skips and sums
+    low_a = data.draw(st.integers(2, degree - 1))
+    low_b = data.draw(st.integers(1, degree - low_a))
+    a = data.draw(tables(n_letters, degree, zeros=0.1, lowest=low_a))
+    b = data.draw(tables(n_letters, degree, zeros=0.1, lowest=low_b))
+    assert_equals_the_reference(a, b)
+
+
+def test_each_word_set_reads_its_own_subwords():
+    # Word sets that share their low words, and so their first word
+    # numbers, alternate in one process: the subwords numbered for one size
+    # must never serve another.
+    rng = random.Random(11)
+    for n_letters, degree in [(2, 4), (2, 6), (2, 4), (3, 4), (1, 6), (2, 5), (3, 4)]:
+        a, b = (
+            InfChar(
+                n_letters,
+                degree,
+                {w: F(rng.randint(-5, 5), rng.randint(1, 3)) for w in all_words(n_letters, degree)},
+            )
+            for _ in range(2)
+        )
+        assert_equals_the_reference(a, b)
 
 
 EXPONENTIALS = [

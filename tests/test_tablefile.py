@@ -78,6 +78,36 @@ def test_rationals_are_strict():
             parse_rational(bad)
 
 
+_REJECTED = 'values must be exact rationals like "-3/4", got '
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.from_regex(r"-?(0|[1-9][0-9]{0,29})(/[1-9][0-9]{0,29})?", fullmatch=True)
+    | st.sampled_from(["-0", "0/7", "-0/7", "6/4", "-6/4", "9" * 30 + "/" + "6" * 30])
+)
+def test_parse_rational_reads_the_value_fractions_reads(raw):
+    # parse_rational builds the value from the integers its pattern matched;
+    # Fraction parses the whole string itself
+    got = parse_rational(raw)
+    assert type(got) is F
+    assert got == F(raw)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.text(alphabet="-+/0123456789 .e_\n", max_size=8).filter(
+        lambda raw: not _RATIONAL.match(raw)
+    )
+    | st.sampled_from(["1.5", "1/0", " 1", "1/-2", "03", "+1", "1_0", "1\n", "1/1/1", ""])
+    | st.sampled_from([True, False, 2.5, None, [1], {"a": 1}])
+)
+def test_rejected_rationals_keep_their_message(raw):
+    with pytest.raises(TableFormatError) as exc:
+        parse_rational(raw)
+    assert str(exc.value) == _REJECTED + repr(raw)
+
+
 def test_word_spellings():
     gens = ("a", "b")
     assert parse_word("aba", gens) == Word((0, 1, 0))

@@ -497,10 +497,13 @@ FAULTS = {
     "irr-nc-sign": _skew(("irr-nc", "sign")),
     "irr-nc-inv_tau": _skew(("irr-nc", "inv_tau")),
     "nc-one": _skew(("nc", "one")),
+    # a word of degree 3 has one interior interval
     "triangle-at-3": _wrap(
         prelie,
         "_triangle_at",
-        lambda real: lambda a, b, w, den: real(a, b, w, den) + (1 if len(w) == 3 else 0),
+        lambda real: lambda a, b, pairs, den: (
+            real(a, b, pairs, den) + (1 if len(pairs[0]) == 1 else 0)
+        ),
     ),
     "half-left-swapped": _wrap(
         forms, "half_left", lambda real: lambda f, g: real(g, f)
