@@ -1,40 +1,48 @@
 """Set partitions of [n]: non-crossing, irreducible, interval, and monotone
 families, nesting forests, tree factorials, and weighted partition sums.
 
-Blocks are tuples of 1-based positions; a SetPartition keeps its blocks
-sorted internally and ordered by minimum, which makes equality and hashing
-structural.  Enumerations are deterministic and bounded by MAX_N = 12 for
-the non-crossing families.  `transforms.CONVERT_DEGREE_CAP` is MAX_N, so
-`convert` requests degree 12 itself: NC(12) holds 208 012 partitions.
+Blocks are tuples of 1-based positions; a SetPartition's blocks are sorted
+internally and ordered by minimum, which makes equality, hashing, ordering
+and printing structural.  Enumerations are deterministic and bounded by
+MAX_N = 12 for the non-crossing families.  `transforms.CONVERT_DEGREE_CAP`
+is MAX_N, so `convert` requests degree 12 itself: NC(12) holds 208 012
+partitions.
 
 The nesting forest of a non-crossing partition is one parent list, the
 index in `blocks` of each block's parent (-1 for a root), from one scan
 over the positions (`_forest`); `tree_factorial`, the labelling weight and
-`linear_extensions` all read it.
+`linear_extensions` all read it.  The labelling weight is counted once per
+distinct forest and kept in `_LABELLINGS`.
 
 The non-crossing enumerators build each partition from the block of 1 and
 the partitions of the gaps around it, and the same recursion gives its tree
 factorial tau!, which the enumerated SetPartition carries.  The recursion
 is two module-level functions, `_grow` and `_gap`, that share one memo dict
 per enumeration: every gap is an interval, partitioned once and read by
-every partition around it.  Each returns a gap's records as two parallel
-lists, the blocks and the tau!, built by list comprehensions; the memo goes
-when the outermost `_grow` returns, before the SetPartitions are built.
-Interval partitions are built one per composition of n, from
-`words.compositions`, and have tau! = 1.  The 1/tau! weights read the
-recorded value, so no partition is scanned again for its nesting forest;
-`tree_factorial` stays the forest scan, the independent definition, and
-weighs a partition built by hand.
+every partition around it.  They give each distinct block an integer id
+when it is first made, once per (gap, choice), and the ids number the
+enumeration's block table in order of first use.  Each returns a gap's
+records as two parallel lists, the tuples of block ids and the tau!, built
+by list comprehensions; the memo goes when the outermost `_grow` returns,
+before the SetPartitions are built.  Interval partitions are built one per
+composition of n, from `words.compositions`, and have tau! = 1.  An
+enumerated SetPartition holds its ids, the shared table and its tau!, and
+spells `blocks` out only when it is first read: its block count, its tau!
+and the weights that need no more never spell it.  The 1/tau! weights read
+the recorded value, so no partition is scanned again for its nesting
+forest; `tree_factorial` stays the forest scan, the independent definition,
+and weighs a partition built by hand.
 
 `partition_sum` enumerates and weighs each family once per (degree, family,
-weight) and keeps the result as a shape: the distinct blocks as 0-based
-position tuples, and the partitions as tuples of block indices, grouped by
-block count and weight, with the weights scaled to integers.  Every weight
-in WEIGHTS is an exact (numerator, denominator) pair of ints in lowest
-terms, which the shape groups on as it is; no Fraction is kept per tau!.
-The shapes are bounded by MAX_N and hold no table values.  A sum over one
-word is then one lookup per distinct block and exact integer arithmetic
-over one common denominator, with a single Fraction built at the end.
+weight) and keeps the result as a shape: the enumeration's block table as
+0-based position tuples, and each partition as its own tuple of block ids,
+grouped by block count and weight, with the weights scaled to integers; no
+block is hashed again.  Every weight in WEIGHTS is an exact (numerator,
+denominator) pair of ints in lowest terms, which the shape groups on as it
+is; no Fraction is kept per tau!.  The shapes are bounded by MAX_N and hold
+no table values.  A sum over one word is then one lookup per distinct block
+and exact integer arithmetic over one common denominator, with a single
+Fraction built at the end.
 The four cumulant-cumulant weights over irreducible non-crossing
 partitions are those of Arizmendi, Hasebe, Lehner & Vargas, "Relations
 between cumulants in noncommutative probability" (Adv. Math. 282, 2015,
@@ -44,7 +52,6 @@ arXiv:1408.2977).
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
@@ -64,10 +71,13 @@ class SetPartition:
     """A partition of {1..n} into disjoint non-empty blocks.
 
     `tau` is the tree factorial when an enumerator built the partition, and
-    None when it was built by hand; it takes no part in comparisons.
+    None when it was built by hand; it takes no part in comparisons.  An
+    enumerated partition holds its blocks as ids, indices into the block
+    table that its whole enumeration shares, and spells `blocks` out on
+    first read; a hand-built one is its own table, its ids 0..k-1.
     """
 
-    __slots__ = ("n", "blocks", "tau")
+    __slots__ = ("n", "tau", "_ids", "_table", "_blocks")
 
     def __init__(self, n: int, blocks):
         cleaned = tuple(sorted(tuple(sorted(b)) for b in blocks))
@@ -79,12 +89,21 @@ class SetPartition:
         if sorted(seen) != list(range(1, n + 1)):
             raise ValueError(f"blocks do not partition 1..{n}: {cleaned}")
         self.n = n
-        self.blocks = cleaned
         self.tau = None
+        self._ids = range(len(cleaned))
+        self._table = self._blocks = cleaned
+
+    @property
+    def blocks(self) -> tuple:
+        """The blocks as sorted position tuples, ordered by minimum."""
+        blocks = self._blocks
+        if blocks is None:
+            blocks = self._blocks = tuple(map(self._table.__getitem__, self._ids))
+        return blocks
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self._ids)
 
     def __eq__(self, other) -> bool:
         return (
@@ -97,9 +116,9 @@ class SetPartition:
         return hash((self.n, self.blocks))
 
     def __lt__(self, other: "SetPartition") -> bool:
-        return (self.n, len(self.blocks), self.blocks) < (
+        return (self.n, len(self._ids), self.blocks) < (
             other.n,
-            len(other.blocks),
+            len(other._ids),
             other.blocks,
         )
 
@@ -121,15 +140,16 @@ def _forest(p: SetPartition) -> list[int]:
     open blocks are nested, and the innermost one is the parent of a block
     that opens.
     """
+    blocks = p.blocks
     owner = [0] * (p.n + 1)
-    for i, block in enumerate(p.blocks):
+    for i, block in enumerate(blocks):
         for x in block:
             owner[x] = i
     parents: list[int] = []
     stack: list[int] = []
     for x in range(1, p.n + 1):
         i = owner[x]
-        block = p.blocks[i]
+        block = blocks[i]
         if x == block[0]:
             parents.append(stack[-1] if stack else -1)
             if x != block[-1]:
@@ -148,19 +168,28 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be between 1 and {MAX_N}, got {n}")
 
 
-def _gap(gaps: dict, lo: int, hi: int) -> tuple[list, list]:
+def _gap(gaps: dict, ids: dict, lo: int, hi: int) -> tuple[list, list]:
     """The records of lo..hi-1, kept in the memo, as parallel lists of
-    blocks and of tau: a pair per record would hold about 5 MB more at n = 12."""
+    block ids and of tau: a pair per record would hold about 5 MB more at
+    n = 12."""
     found = gaps.get((lo, hi))
     if found is None:
-        found = gaps[lo, hi] = _grow(gaps, lo, hi, False)
+        found = gaps[lo, hi] = _grow(gaps, ids, lo, hi, False)
     return found
 
 
-def _grow(gaps: dict, first: int, stop: int, closed: bool) -> tuple[list, list]:
+def _grow(gaps: dict, ids: dict, first: int, stop: int, closed: bool) -> tuple[list, list]:
     """Non-crossing partitions of first..stop-1 (first < stop), as (blocks,
-    tau) records in two parallel lists: the blocks as sorted tuples ordered
-    by minimum, and tau the tree factorial of the partition's nesting forest.
+    tau) records in two parallel lists: the blocks as a tuple of block ids,
+    ordered by the blocks' minima, and tau the tree factorial of the
+    partition's nesting forest.
+
+    `ids` numbers the distinct blocks of the enumeration, each a sorted
+    position tuple, in the order they are first made; a block is made once
+    per (gap, choice), so no record hashes a block.  The first partition of
+    a gap is its singletons and the recursion makes a gap's inner blocks
+    before the other blocks of its first position, so the numbering is also
+    the order of first use in the enumerated list.
 
     Decomposes on the block B of `first`: the rest of B is any subset of the
     remaining positions, and the leftover positions fall into gaps, each
@@ -182,10 +211,10 @@ def _grow(gaps: dict, first: int, stop: int, closed: bool) -> tuple[list, list]:
             # block with each choice of its subtree, with the product of the
             # inner gaps' tau while the inner gaps are filled in, then with
             # the tau of the subtree
-            trees, taus = [(block,)], [1]
+            trees, taus = [(ids.setdefault(block, len(ids)),)], [1]
             for lo, hi in zip(block, block[1:]):
                 if hi > lo + 1:
-                    inner, inner_taus = _gap(gaps, lo + 1, hi)
+                    inner, inner_taus = _gap(gaps, ids, lo + 1, hi)
                     trees = [below + b for below in trees for b in inner]
                     taus = [tau * t for tau in taus for t in inner_taus]
             taus = [len(below) * tau for below, tau in zip(trees, taus)]
@@ -193,48 +222,62 @@ def _grow(gaps: dict, first: int, stop: int, closed: bool) -> tuple[list, list]:
                 found += trees
                 found_taus += taus
             else:
-                after, after_taus = _gap(gaps, block[-1] + 1, stop)
+                after, after_taus = _gap(gaps, ids, block[-1] + 1, stop)
                 found += [below + b for below in trees for b in after]
                 found_taus += [tau * t for tau in taus for t in after_taus]
     return found, found_taus
 
 
-def _built(n: int, found, taus) -> list[SetPartition]:
-    """The enumerators' SetPartitions: each of `found` must already be sorted
-    tuples that partition 1..n, ordered by minimum, with its tree factorial
-    in `taus`; nothing is checked."""
+def _built(n: int, table: list, found: list, taus: list) -> list[SetPartition]:
+    """The enumerators' SetPartitions, in `found` itself: each record must
+    already be a tuple of indices into `table`, whose blocks partition 1..n
+    as sorted tuples ordered by minimum, with its tree factorial in `taus`;
+    nothing is checked.  `taus` is emptied."""
     new = SetPartition.__new__
-    out = []
-    for blocks, tau in zip(found, taus):
+    # Each record is replaced by its partition in place, and `taus` shrinks
+    # as it is read: at NC(12) the enumeration's peak would otherwise hold
+    # a second list and the whole of `taus`, 3.3 MB more.
+    for i in range(len(found) - 1, -1, -1):
         p = new(SetPartition)
         p.n = n
-        p.blocks = blocks
-        p.tau = tau
-        out.append(p)
-    return out
+        p.tau = taus.pop()
+        p._ids = found[i]
+        p._table = table
+        p._blocks = None
+        found[i] = p
+    return found
+
+
+def _nc(n: int, closed: bool) -> list[SetPartition]:
+    """NC(n), or its irreducible partitions when `closed`."""
+    _check_n(n)
+    ids: dict = {}
+    # the gap memo goes when _grow returns, before the SetPartitions are built
+    found, taus = _grow({}, ids, 1, n + 1, closed)
+    return _built(n, list(ids), found, taus)
 
 
 def enumerate_nc(n: int) -> list[SetPartition]:
     """All non-crossing partitions of [n] (Catalan many)."""
-    _check_n(n)
-    return _built(n, *_grow({}, 1, n + 1, False))
+    return _nc(n, False)
 
 
 def enumerate_irreducible_nc(n: int) -> list[SetPartition]:
     """Non-crossing partitions whose block of 1 also contains n."""
-    _check_n(n)
-    return _built(n, *_grow({}, 1, n + 1, True))
+    return _nc(n, True)
 
 
 def enumerate_interval(n: int) -> list[SetPartition]:
     """Partitions into consecutive blocks, one per composition of n."""
     _check_n(n)
+    ids: dict = {}  # (a, b) -> the id of the block a+1..b
     found = []
     for parts in compositions(n):
         cuts = (0, *itertools.accumulate(parts))
-        found.append(tuple(tuple(range(a + 1, b + 1)) for a, b in zip(cuts, cuts[1:])))
+        found.append(tuple(ids.setdefault(cut, len(ids)) for cut in zip(cuts, cuts[1:])))
+    table = [tuple(range(a + 1, b + 1)) for a, b in ids]
     # no block nests in another, so the tree factorial is 1
-    return _built(n, found, itertools.repeat(1))
+    return _built(n, table, found, [1] * len(found))
 
 
 def tree_factorial(p: SetPartition) -> int:
@@ -315,12 +358,24 @@ def _weight_sign_inv_tau(p: SetPartition) -> tuple[int, int]:
     return (-1) ** (p.num_blocks - 1), _tau(p)
 
 
+# nesting forest, as the tuple of `_forest` -> its labelling weight.  NC(n <= 8)
+# has 2055 partitions but only 152 distinct forests, and NC(n <= MAX_N) 4021.
+_LABELLINGS: dict = {}
+
+
 def _weight_labelling(p: SetPartition) -> tuple[int, int]:
+    parents = tuple(_forest(p))
+    weight = _LABELLINGS.get(parents)
+    if weight is None:
+        weight = _LABELLINGS[parents] = _count_labellings(parents)
+    return weight
+
+
+def _count_labellings(parents: tuple) -> tuple[int, int]:
     # Counts the outer-first block orders directly, not by the hook formula,
     # so the tau-factorial route stays independent: orders(placed) is the
     # number of ways to place the blocks outside the bitmask `placed`, and a
     # block may be placed once its parent is.
-    parents = _forest(p)
     k = len(parents)
     full = (1 << k) - 1
 
@@ -349,16 +404,18 @@ WEIGHTS = {
 
 # (n, family, weight) -> (blocks, scale, groups) over the family's
 # partitions of [n]:
-# - blocks: the distinct blocks as 0-based position tuples, in order of
-#   first use;
+# - blocks: the enumeration's block table, as 0-based position tuples, in
+#   order of first use;
 # - scale: the lcm of the weights' denominators;
 # - groups: one (k, c * scale, partitions) per block count k and weight c,
-#   each partition a tuple of indices into blocks.
+#   each partition its tuple of block ids, indices into blocks.
 # Each partition is weighed once, through WEIGHTS, and grouped on the
 # integers (k, numerator, denominator) of its weight; the block count is
-# len(p.blocks), and the 1/tau! weights read the tau! the enumerator found.
+# the length of its ids, and the 1/tau! weights read the tau! the
+# enumerator found, so only the labelling weight spells any blocks.
 # At most MAX_N * len(_FAMILIES) * len(WEIGHTS) keys; the largest, NC(12)
-# with 208 012 partitions, holds about 21 MB.
+# with 208 012 partitions, holds 20.7 MB under the weight one and 21.2 MB
+# under labelling, as traced by tracemalloc on Python 3.11.
 _SHAPES: dict = {}
 
 
@@ -367,25 +424,23 @@ def _shapes(n: int, family: str, weight: str) -> tuple:
     shapes = _SHAPES.get(key)
     if shapes is None:
         weigh = WEIGHTS[weight]
-        # a block's index is the number of blocks seen before it
-        index: defaultdict = defaultdict()
-        index.default_factory = index.__len__
-        at = index.__getitem__
         groups: dict = {}
         group = groups.get
         found = _FAMILIES[family](n)
-        # Popped from the end, each partition is freed once it is read, so
-        # the finished shape never sits beside the whole list.
+        table = found[0]._table  # one table per enumeration
+        # Popped from the end, each partition is freed once it is read, and
+        # only its ids stay, in the shape.
         found.reverse()
         while found:
             p = found.pop()
-            kind = (len(p.blocks), *weigh(p))
+            ids = p._ids
+            kind = (len(ids), *weigh(p))
             members = group(kind)
             if members is None:
                 members = groups[kind] = []
-            members.append(tuple(map(at, p.blocks)))
+            members.append(ids)
         scale = lcm(*(den for _, _, den in groups))
-        blocks = tuple(tuple(x - 1 for x in b) for b in index)
+        blocks = tuple(tuple(x - 1 for x in b) for b in table)
         shapes = _SHAPES[key] = (
             blocks,
             scale,

@@ -8,7 +8,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction as F
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -571,3 +571,78 @@ def test_a_key_is_enumerated_and_weighed_once(family, weight, monkeypatch):
     partition_sum(values, Word((1, 1, 0, 0, 1, 1)), family, weight)
     assert len(enumerated) == 1
     assert len(weighed) == len(enumerated[0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    family=st.sampled_from(sorted(partitions._FAMILIES)),
+    n=st.integers(1, 9),
+    spell_first=st.booleans(),
+    data=st.data(),
+)
+def test_an_enumerated_partition_behaves_as_its_hand_built_twin(family, n, spell_first, data):
+    # An enumerated partition holds block ids and spells its blocks on first
+    # read; the twins come from a second enumeration, so reading them
+    # spells nothing of the first.
+    found = partitions._FAMILIES[family](n)
+    i, j = (data.draw(st.integers(0, len(found) - 1)) for _ in range(2))
+    again = partitions._FAMILIES[family](n)
+    twin, other_twin = (SetPartition(n, again[k].blocks) for k in (i, j))
+    p, other = found[i], found[j]
+    if spell_first:
+        assert p.blocks == twin.blocks
+    assert p.num_blocks == twin.num_blocks
+    assert p.tau == tree_factorial(twin)
+    for weight in ("one", "inv_tau", "sign", "sign_inv_tau"):
+        assert partitions.WEIGHTS[weight](p) == partitions.WEIGHTS[weight](twin), weight
+    # none of those needs the blocks
+    assert (p._blocks is None) is not spell_first
+    assert partitions.WEIGHTS["labelling"](p) == partitions.WEIGHTS["labelling"](twin)
+    assert p == twin and twin == p and hash(p) == hash(twin)
+    assert (p < other) == (twin < other_twin) and (other < p) == (other_twin < twin)
+    assert (p == other) == (twin == other_twin)
+    assert (str(p), repr(p), p.blocks) == (str(twin), repr(twin), twin.blocks)
+
+
+def _interned_shape(n, family, weight):
+    """The shape of `partitions._shapes` from hand-built partitions: every
+    block of every partition hashed into an index in order of first use."""
+    weigh = partitions.WEIGHTS[weight]
+    index, groups = {}, {}
+    for p in partitions._FAMILIES[family](n):
+        q = SetPartition(n, p.blocks)
+        kind = (q.num_blocks, *weigh(q))
+        ids = tuple(index.setdefault(block, len(index)) for block in q.blocks)
+        groups.setdefault(kind, []).append(ids)
+    scale = lcm(*(den for _, _, den in groups))
+    return (
+        tuple(tuple(x - 1 for x in block) for block in index),
+        scale,
+        tuple(
+            (k, num * (scale // den), tuple(members))
+            for (k, num, den), members in groups.items()
+        ),
+    )
+
+
+@pytest.mark.parametrize("weight", _WEIGHT_NAMES)
+@pytest.mark.parametrize("family", sorted(partitions._FAMILIES))
+def test_shapes_match_the_interning_loop(family, weight, monkeypatch):
+    # block order, group order and member order too: the enumerators number
+    # their blocks in order of first use
+    monkeypatch.setattr(partitions, "_SHAPES", {})
+    for n in range(1, 10):
+        assert partitions._shapes(n, family, weight) == _interned_shape(n, family, weight), n
+
+
+def test_the_labelling_weight_is_counted_once_per_forest(monkeypatch):
+    monkeypatch.setattr(partitions, "_LABELLINGS", {})
+    forests = set()
+    for n in range(1, 9):
+        for p in enumerate_nc(n):
+            forests.add(tuple(partitions._forest(p)))
+            partitions.WEIGHTS["labelling"](p)
+    assert len(forests) == 152
+    assert partitions._LABELLINGS.keys() == forests
+    for forest, weight in partitions._LABELLINGS.items():
+        assert weight == partitions._count_labellings(forest), forest
