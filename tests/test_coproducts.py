@@ -7,10 +7,12 @@ checked exhaustively over low degrees.
 import itertools
 from math import factorial
 
+import coproducts_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cumulants import coproducts
 from cumulants.coproducts import (
     BARWORDS,
     bar_id,
@@ -354,3 +356,60 @@ def test_verify_caches_int_triples_and_registers_each_bar_word_once():
     assert all(type(u) is BarWord for u in BARWORDS)
     assert len(set(BARWORDS)) == len(BARWORDS)
     assert [bar_id(u) for u in BARWORDS] == list(range(len(BARWORDS)))
+
+
+# The id terms against the bit-by-bit mask walk of tests/coproducts_reference.py.
+
+REFERENCE_MAPS = (
+    (coproduct_terms, reference.coproduct_terms),
+    (coproduct_left_terms, reference.coproduct_left_terms),
+    (coproduct_right_terms, reference.coproduct_right_terms),
+)
+
+
+def assert_terms_match_the_mask_walk(u):
+    i = bar_id(u)
+    for terms_of_id, walked in REFERENCE_MAPS:
+        if i or terms_of_id is coproduct_terms:
+            # the same terms in the same order: ids are registered in the
+            # order the masks meet them
+            assert terms_of_id(i) == walked(i), (terms_of_id.__name__, u)
+
+
+@pytest.mark.parametrize("n_letters, max_degree", [(2, 5), (1, 8), (3, 4)])
+def test_id_terms_match_the_mask_walk_on_every_bar_word(n_letters, max_degree):
+    # the sizes of the benchmark's verify jobs
+    for u in all_barwords(n_letters, max_degree, include_unit=True):
+        assert_terms_match_the_mask_walk(u)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(barwords(n_letters=3, max_degree=10))
+def test_id_terms_match_the_mask_walk_up_to_degree_10(u):
+    assert_terms_match_the_mask_walk(u)
+
+
+def test_mask_shapes_spell_the_extracted_positions_and_runs():
+    for n in range(9):
+        taken, taken_at, runs, runs_at = coproducts._mask_shapes(n)
+        assert len(taken_at) == len(runs_at) == (1 << n) + 1
+        for mask in range(1 << n):
+            positions = taken[taken_at[mask] : taken_at[mask + 1]]
+            gaps = runs[runs_at[mask] : runs_at[mask + 1]]
+            kept = [i for i in range(n) if not mask >> i & 1]
+            assert list(positions) == [i for i in range(n) if mask >> i & 1]
+            assert [i for a, b in zip(gaps[::2], gaps[1::2]) for i in range(a, b)] == kept
+            # maximal runs: none is empty, and none ends where the next begins
+            assert all(a < b for a, b in zip(gaps, gaps[1:]))
+
+
+def test_concatenation_ids_are_the_ids_of_the_concatenations():
+    assert verify_suite(4, 2).ok  # fills the concatenation table
+    assert coproducts._CONCATS
+    for (a, b), i in coproducts._CONCATS.items():
+        assert a and b
+        assert i == bar_id(bar_concat(BARWORDS[a], BARWORDS[b])) == reference.concat(a, b)
+    bars = [bar_id(u) for u in all_barwords(2, 3, include_unit=True)]
+    for a in bars:
+        for b in bars:
+            assert coproducts._concat(a, b) == reference.concat(a, b), (a, b)

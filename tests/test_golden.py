@@ -22,7 +22,10 @@ def test_stdout_and_exit_code_are_unchanged(case, monkeypatch, capsysbinary):
     monkeypatch.chdir(GOLDEN)
     code = main(case["argv"])
     assert code == case["exit"]
-    assert capsysbinary.readouterr().out == (GOLDEN / case["stdout"]).read_bytes()
+    captured = capsysbinary.readouterr()
+    assert captured.out == (GOLDEN / case["stdout"]).read_bytes()
+    if code == 0:
+        assert captured.err == b""  # a case that succeeds writes no diagnostics
 
 
 def test_every_golden_file_is_named_by_a_case():

@@ -10,6 +10,7 @@ from collections import Counter
 from fractions import Fraction as F
 from math import comb, factorial, lcm, prod
 
+import partitions_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -544,6 +545,39 @@ def test_integer_kernel_equals_the_fraction_loop(family, weight, pool, rng, data
 
 
 @pytest.mark.parametrize("weight", _WEIGHT_NAMES)
+@pytest.mark.parametrize("family", sorted(partitions._FAMILIES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(
+    pool=st.lists(_SCALARS, min_size=1, max_size=24),
+    rng=st.randoms(use_true_random=False),
+    data=st.data(),
+)
+def test_partition_sum_equals_the_slicing_reference(family, weight, pool, rng, data):
+    # tests/partitions_reference.py slices every block and reads each
+    # value's properties; the readers and the integer ratios must give the
+    # same Fraction, and the same error for the same missing word
+    n = data.draw(st.sampled_from(range(9, 0, -1)))
+    w = Word(tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+    values = {u: rng.choice(pool) for u in all_words(2, n)}
+    # short words are blocks of most words, so a drop often leaves a block
+    # of w without a value
+    short = sorted(all_words(2, min(n, 3)))
+    for u in data.draw(st.lists(st.sampled_from(short), max_size=3, unique=True)):
+        del values[u]
+    try:
+        expected = reference.partition_sum(values, w, family, weight)
+    except IncompleteTableError as missing:
+        with pytest.raises(IncompleteTableError) as info:
+            partition_sum(values, w, family, weight)
+        assert str(info.value) == str(missing)
+        assert info.value.word == missing.word and type(info.value.word) is Word
+    else:
+        got = partition_sum(values, w, family, weight)
+        assert got == expected
+        assert type(got) is F
+
+
+@pytest.mark.parametrize("weight", _WEIGHT_NAMES)
 @pytest.mark.parametrize("family", sorted(_FAMILY_FILTERS))
 def test_a_key_is_enumerated_and_weighed_once(family, weight, monkeypatch):
     # What the benchmark's trace counts as `partitions.enumerated` and
@@ -625,6 +659,15 @@ def _interned_shape(n, family, weight):
     )
 
 
+def _spelled(shape, n):
+    """A shape of `partitions._shapes` with each block reader replaced by
+    the positions it reads: read off the word 0 1 ... n-1, a block's
+    letters are its 0-based positions."""
+    readers, scale, groups = shape
+    positions = tuple(range(n))
+    return tuple(read(positions) for read in readers), scale, groups
+
+
 @pytest.mark.parametrize("weight", _WEIGHT_NAMES)
 @pytest.mark.parametrize("family", sorted(partitions._FAMILIES))
 def test_shapes_match_the_interning_loop(family, weight, monkeypatch):
@@ -632,7 +675,8 @@ def test_shapes_match_the_interning_loop(family, weight, monkeypatch):
     # their blocks in order of first use
     monkeypatch.setattr(partitions, "_SHAPES", {})
     for n in range(1, 10):
-        assert partitions._shapes(n, family, weight) == _interned_shape(n, family, weight), n
+        shape = partitions._shapes(n, family, weight)
+        assert _spelled(shape, n) == _interned_shape(n, family, weight), n
 
 
 def test_the_labelling_weight_is_counted_once_per_forest(monkeypatch):
