@@ -26,7 +26,10 @@ Each distinct bar-word gets one dense int id the first time it is seen,
 and `BARWORDS[i]` is the bar-word with id i.  The unit is id 0, so a leg
 id is falsy exactly when the leg is the unit.  Only `BarWord` instances
 are registered, since a word or a plain tuple may equal a bar-word
-(EMPTY_WORD == UNIT); registering anything else raises TypeError.  The
+(EMPTY_WORD == UNIT); registering anything else raises TypeError.  Looking
+one up is another matter: a word's splits probe the registry with the
+plain tuples their legs equal, and build a `BarWord` of `Word`s only for
+a leg that has no id yet.  The
 full coproduct and its two halves are computed and cached on ids, as
 `coproduct_terms`, `coproduct_left_terms` and `coproduct_right_terms`: a
 tuple of (x id, y id, count) terms per bar-word id, each key once.  A
@@ -55,7 +58,8 @@ treat those results as read-only.
 
 from __future__ import annotations
 
-import itertools
+import struct
+import sys
 import threading
 from functools import cache
 
@@ -69,9 +73,35 @@ _REGISTERING = threading.Lock()
 _CONCATS: dict = {}
 
 
-def _offsets(size: int) -> memoryview:
-    """size unsigned ints, all 0, to be written one by one."""
-    return memoryview(bytearray(4 * size)).cast("I")
+_UINT = struct.Struct("I")  # an offset: a native unsigned int, as memoryview "I"
+
+
+def _uints(data: bytes) -> memoryview:
+    """Packed offsets read as unsigned ints."""
+    return memoryview(data).cast("I")
+
+
+def _repeated(value: int, count: int) -> bytes:
+    """count offsets, each value."""
+    return _UINT.pack(value) * count
+
+
+def _added(*buffers) -> bytes:
+    """The elementwise sum of equally long buffers of offsets, as the sum
+    of the integers that their bytes spell: no element of the sum reaches
+    2^32, so no carry crosses into the next element.  No int is made per
+    element, so a degree's offsets are added with no loop in Python."""
+    total = sum(int.from_bytes(b, sys.byteorder) for b in buffers)
+    return total.to_bytes(memoryview(buffers[0]).nbytes, sys.byteorder)
+
+
+def _ramp(count: int) -> bytes:
+    """The offsets 1, 2, ..., count."""
+    ramp = _repeated(1, 1)
+    while len(ramp) < count * _UINT.size:
+        done = len(ramp) // _UINT.size
+        ramp += _added(ramp, _repeated(done, done))
+    return ramp[: count * _UINT.size]
 
 
 # Degree n -> the shapes of the masks of n positions, packed as
@@ -84,11 +114,47 @@ def _offsets(size: int) -> memoryview:
 # 0.17 MB, where a tuple of positions and one of run slices per mask would
 # hold 0.77 MB.  A position below 256 is no limit, since 2^256 masks could
 # never be listed.  Degree n is built from degree n - 1 the first time it
-# is read: mask m < 2^(n-1) extends its last run to position n - 1, or
-# opens a run there, and mask m + 2^(n-1) keeps the runs of m and extracts
-# position n - 1.
-_MASKS: list = [(b"", _offsets(2), b"", _offsets(2))]
-_WORD = itertools.repeat(Word)
+# is read (see `_grown`).
+_MASKS: list = [(b"", _uints(_repeated(0, 2)), b"", _uints(_repeated(0, 2)))]
+
+
+def _grown(last: int, taken, taken_at, runs, runs_at) -> tuple:
+    """The mask shapes of last + 1 positions from those of last positions,
+    with no loop over the masks: mask m < 2^last keeps position last,
+    extending its last run to it or opening a run there, and mask
+    m + 2^last keeps the runs of m and extracts last after the positions
+    of m.  Each step rewrites a block of masks whose last byte is a
+    position that no other byte of theirs names, with one replace."""
+    half = 1 << last
+    quarter = half >> 1  # the masks below it keep last - 1
+    # masks m + half: the masks from 2^j to 2^(j + 1) extract j last
+    extracted = [bytes((last,))]  # mask 0 extracts nothing
+    for j in range(last):
+        block = taken[taken_at[1 << j] : taken_at[2 << j]]
+        extracted.append(block.replace(bytes((j,)), bytes((j, last))))
+    new_taken = b"".join((taken, *extracted))
+    # the masks from half on follow the len(taken) bytes below half, each
+    # one byte longer than its mask m
+    extracted_at = _added(taken_at[1:], _ramp(half), _repeated(len(taken), half))
+    new_taken_at = _uints(b"".join((taken_at, extracted_at)))
+    # masks m < quarter: the last run stops at last, which becomes last + 1
+    kept = [runs[: runs_at[quarter]].replace(bytes((last,)), bytes((last + 1,)))]
+    # masks quarter to half open the run (last, last + 1) after the runs of
+    # a mask of last - 1 positions, whose highest kept position h closes its
+    # last run with the byte h + 1
+    opened = bytes((last, last + 1))
+    for h in reversed(range(last - 1)):
+        block = runs[runs_at[half - (2 << h)] : runs_at[half - (1 << h)]]
+        kept.append(block.replace(bytes((h + 1,)), bytes((h + 1, *opened))))
+    kept.append(opened)  # the mask that extracts every position
+    kept = b"".join(kept)
+    # from quarter on, each mask is two bytes longer than its mask m
+    ramp = _ramp(half - quarter)
+    opened_at = _added(runs_at[quarter + 1 :], ramp, ramp)
+    # masks m + half: the runs of m, one buffer copy after the kept runs
+    copied_at = _added(runs_at[1:], _repeated(len(kept), half))
+    new_runs_at = _uints(b"".join((runs_at[: quarter + 1], opened_at, copied_at)))
+    return new_taken, new_taken_at, kept + runs, new_runs_at
 
 
 def _mask_shapes(n: int) -> tuple:
@@ -97,33 +163,7 @@ def _mask_shapes(n: int) -> tuple:
     if len(_MASKS) <= n:
         with _REGISTERING:
             while len(_MASKS) <= n:
-                last = len(_MASKS) - 1  # the new position
-                half = 1 << last  # the masks that keep it
-                taken, taken_at, runs, runs_at = _MASKS[last]
-                # written in place, mask by mask: lists of per-mask pieces
-                # would raise the peak by more than the shapes hold
-                new_taken = bytearray(taken)
-                new_taken_at = _offsets(2 * half + 1)
-                new_taken_at[: half + 1] = taken_at
-                for m, (i, j) in enumerate(zip(taken_at, taken_at[1:]), half + 1):
-                    new_taken += taken[i:j]
-                    new_taken.append(last)
-                    new_taken_at[m] = len(new_taken)
-                new_runs = bytearray()
-                new_runs_at = _offsets(2 * half + 1)
-                for m, (i, j) in enumerate(zip(runs_at, runs_at[1:]), 1):
-                    if i < j and runs[j - 1] == last:
-                        new_runs += runs[i : j - 1]
-                    else:
-                        new_runs += runs[i:j]
-                        new_runs.append(last)
-                    new_runs.append(last + 1)
-                    new_runs_at[m] = len(new_runs)
-                kept = len(new_runs)
-                for m, k in enumerate(runs_at[1:], half + 1):
-                    new_runs_at[m] = kept + k
-                new_runs += runs
-                _MASKS.append((bytes(new_taken), new_taken_at, bytes(new_runs), new_runs_at))
+                _MASKS.append(_grown(len(_MASKS) - 1, *_MASKS[-1]))
     return _MASKS[n]
 
 
@@ -133,11 +173,18 @@ def bar_id(u: BarWord) -> int:
     if i is None:
         if type(u) is not BarWord:
             raise TypeError(f"only bar-words have ids, got {u!r}")
-        with _REGISTERING:
-            i = _IDS.get(u)
-            if i is None:
-                i = _IDS[u] = len(BARWORDS)
-                BARWORDS.append(u)
+        i = _register(u)
+    return i
+
+
+def _register(u: BarWord) -> int:
+    """The id of the bar-word u, given the next free id unless a racing
+    thread has just registered it."""
+    with _REGISTERING:
+        i = _IDS.get(u)
+        if i is None:
+            i = _IDS[u] = len(BARWORDS)
+            BARWORDS.append(u)
     return i
 
 
@@ -191,7 +238,10 @@ def _split(uid: int, split_first, first_mask: int, step: int) -> tuple:
 
     On a one-factor bar-word this is one (extracted letters, unextracted
     runs) pair per mask in range(first_mask, 2^n, step), each read from the
-    word through the mask's shape.
+    word through the mask's shape.  A bar-word equals the plain tuple of
+    its words' letter tuples, so each leg is looked up in the registry as
+    that tuple, and a `BarWord` of `Word`s is built only for a leg that has
+    no id yet.
     """
     w, *rest = BARWORDS[uid]
     if rest:
@@ -200,6 +250,7 @@ def _split(uid: int, split_first, first_mask: int, step: int) -> tuple:
         )
     taken, taken_at, runs, runs_at = _mask_shapes(len(w))
     new = tuple.__new__
+    ids = _IDS.get
     letter = w.__getitem__
     acc: dict = {}
     for a, b, c, d in zip(
@@ -208,11 +259,25 @@ def _split(uid: int, split_first, first_mask: int, step: int) -> tuple:
         runs_at[first_mask::step],
         runs_at[first_mask + 1 :: step],
     ):
-        # only mask 0 extracts nothing, and its left leg is the unit
-        x = new(BarWord, (new(Word, list(map(letter, taken[a:b]))),)) if a < b else UNIT
+        # only mask 0 extracts nothing, and its left leg is the unit.  The
+        # probes are built through a list, which sizes a tuple exactly:
+        # tuple() of an iterator makes 10 slots and shrinks them, so each
+        # probe would be freed onto another size's free list, where up to
+        # 2000 a size stay held (0.55 MB of left splits at one letter,
+        # degree 12)
+        if a < b:
+            letters = (*map(letter, taken[a:b]),)
+            x = ids((letters,))
+            if x is None:
+                x = _register(new(BarWord, (new(Word, letters),)))
+        else:
+            x = 0
         bounds = iter(runs[c:d])
-        y = new(BarWord, list(map(new, _WORD, map(letter, map(slice, bounds, bounds)))))
-        key = (bar_id(x), bar_id(y))
+        factors = (*map(letter, map(slice, bounds, bounds)),)
+        y = ids(factors)
+        if y is None:
+            y = _register(new(BarWord, [new(Word, f) for f in factors]))
+        key = (x, y)
         acc[key] = acc.get(key, 0) + 1
     return _as_terms(acc)
 

@@ -515,8 +515,12 @@ def monotone_tuple_counts(n: int, q: int, w: Word) -> dict:
     cross-check the left-iterated reduced coproduct.
     """
     acc: dict = {}
+    subwords: dict = {}  # block -> the subword at it, built once per call
     for _, order in enumerate_monotone(n, q):
-        key = tuple(Word(w[p - 1] for p in block) for block in order)
+        for block in order:
+            if block not in subwords:
+                subwords[block] = Word(w[p - 1] for p in block)
+        key = tuple(map(subwords.__getitem__, order))
         acc[key] = acc.get(key, 0) + 1
     return acc
 

@@ -4,6 +4,7 @@ Small cases are written out by hand and frozen; structural laws are then
 checked exhaustively over low degrees.
 """
 
+import contextlib
 import itertools
 from math import factorial
 
@@ -387,6 +388,61 @@ def test_id_terms_match_the_mask_walk_on_every_bar_word(n_letters, max_degree):
 @given(barwords(n_letters=3, max_degree=10))
 def test_id_terms_match_the_mask_walk_up_to_degree_10(u):
     assert_terms_match_the_mask_walk(u)
+
+
+@contextlib.contextmanager
+def cold_registry():
+    """The registry as a fresh process starts it, holding the unit alone,
+    with the id-term caches and the concatenation table empty; the
+    package's own come back afterwards, and the caches, which would name
+    the ids given here, are emptied again."""
+    saved = list(BARWORDS), dict(coproducts._IDS), dict(coproducts._CONCATS)
+    tables = (BARWORDS, coproducts._IDS, coproducts._CONCATS)
+
+    def refill(barwords, ids, concats):
+        for terms_of_id, _ in REFERENCE_MAPS:
+            terms_of_id.cache_clear()
+        for table in tables:
+            table.clear()
+        BARWORDS.extend(barwords)
+        coproducts._IDS.update(ids)
+        coproducts._CONCATS.update(concats)
+
+    refill([UNIT], {UNIT: 0}, {})
+    try:
+        yield
+    finally:
+        refill(*saved)
+
+
+def assert_the_registry_holds_bar_words_of_words():
+    assert all(type(u) is BarWord for u in BARWORDS)
+    assert all(type(w) is Word for u in BARWORDS for w in u)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    st.lists(st.integers(0, 2), min_size=2, max_size=9).filter(
+        lambda letters: len(set(letters)) < len(letters)
+    )
+)
+def test_split_looks_legs_up_from_a_cold_and_a_warm_registry(letters):
+    # a word with a repeated letter meets equal legs at several masks
+    u = lift(Word(letters))
+    for terms_of_id, walked in REFERENCE_MAPS:
+        # cold: every leg is built and registered the first time it is met
+        with cold_registry():
+            i = bar_id(u)
+            assert terms_of_id(i) == walked(i), (terms_of_id.__name__, u)
+            assert_the_registry_holds_bar_words_of_words()
+        # warm: the mask walk has registered every leg, so each is found
+        i = bar_id(u)
+        expected = walked(i)
+        count = len(BARWORDS)
+        terms_of_id.cache_clear()
+        assert terms_of_id(i) == expected, (terms_of_id.__name__, u)
+        assert len(BARWORDS) == count
+    assert_the_registry_holds_bar_words_of_words()
 
 
 def test_mask_shapes_spell_the_extracted_positions_and_runs():

@@ -482,6 +482,17 @@ def _skew(pair):
     return inject
 
 
+def _degree_of(i):
+    return coproducts.BARWORDS[i].degree
+
+
+def _doubled_at_3(real):
+    """An id-term map with every count doubled on bar-words of degree 3."""
+    return lambda i: (
+        tuple((x, y, 2 * c) for x, y, c in real(i)) if _degree_of(i) == 3 else real(i)
+    )
+
+
 def _wrap(module, name, fault):
     def inject(monkeypatch):
         monkeypatch.setattr(module, name, fault(getattr(module, name)))
@@ -508,13 +519,17 @@ FAULTS = {
     "half-left-swapped": _wrap(
         forms, "half_left", lambda real: lambda f, g: real(g, f)
     ),
+    # the id maps that verify's coalgebra checks read; the left half is
+    # also what moment -> free solves through
     "coproduct-left-at-3": _wrap(
         transforms,
-        "coproduct",
-        lambda real: lambda u: (
-            transforms.coproduct_left(u) if u.degree == 3 else real(u)
+        "coproduct_terms",
+        lambda real: lambda i: (
+            coproducts.coproduct_left_terms(i) if _degree_of(i) == 3 else real(i)
         ),
     ),
+    "left-half-doubled-at-3": _wrap(transforms, "coproduct_left_terms", _doubled_at_3),
+    "right-half-doubled-at-3": _wrap(transforms, "coproduct_right_terms", _doubled_at_3),
 }
 
 CHECKS = (
@@ -630,26 +645,79 @@ def test_verify_report_under_an_injected_fault(fault, degree, generators, monkey
     }
 
 
-# The failing coalgebra checks under "coproduct-left-at-3", each pinned by
-# the `at <bar-word>` prefix of its detail; the rest of a mismatch detail
-# spells the two sides' coproduct values.
+# The failing checks under each coproduct fault, each pinned by its detail
+# up to the first ": ", the `at <bar-word>` prefix of a mismatch, whose rest
+# spells the two sides' coproduct values.  Each map fails every coalgebra
+# check that reads it, at the first bar-word where the fault shows: a fault
+# at degree 3 reaches the reduced maps of a one-factor bar-word through its
+# legs of degree 3, so the checks over words can first fail at degree 4.
+# Under "coproduct-left-at-3", by degree and generators:
 COALGEBRA_FAILED_AT = {
-    "coassociativity": "at a|a|a",
-    "counit": "at a|a|a",
-    "half-splitting": "at a|a|a",
+    (3, 1): {
+        "coassociativity": "at a|a|a",
+        "counit": "at a|a|a",
+        "half-splitting": "at a|a|a",
+    },
+    (4, 2): {
+        "coassociativity": "at a|a|a",
+        "counit": "at a|a|a",
+        "half-splitting": "at a|a|a",
+        "unshuffle-C1": "at aaaa",
+        "unshuffle-C3": "at aaaa",
+    },
+}
+
+# The doubled left half also feeds moment -> free.
+ROUNDTRIPS_THROUGH_FREE = {
+    "roundtrip-free": "cumulants -> moments -> cumulants is not the identity",
+    "roundtrip-monotone": "cumulants -> moments -> cumulants is not the identity",
+}
+HALF_FAILED_AT = {
+    ("left-half-doubled-at-3", 3, 1): {
+        "half-splitting": "at a|a|a",
+        "unshuffle-C2": "at aaa",
+        **ROUNDTRIPS_THROUGH_FREE,
+    },
+    ("left-half-doubled-at-3", 4, 2): {
+        "half-splitting": "at a|a|a",
+        "unshuffle-C1": "at aaaa",
+        "unshuffle-C2": "at aaa",
+        **ROUNDTRIPS_THROUGH_FREE,
+    },
+    ("right-half-doubled-at-3", 3, 1): {
+        "half-splitting": "at a|a|a",
+        "unshuffle-C2": "at aaa",
+    },
+    ("right-half-doubled-at-3", 4, 2): {
+        "half-splitting": "at a|a|a",
+        "unshuffle-C2": "at aaa",
+        "unshuffle-C3": "at aaaa",
+    },
 }
 
 
-@pytest.mark.parametrize("degree,generators", [(3, 1), (4, 2)])
+def _failed_prefixes(fault, degree, generators, monkeypatch):
+    FAULTS[fault](monkeypatch)
+    results = verify_suite(degree, generators).results
+    assert [r.name for r in results] == CHECKS
+    assert all(r.detail == "" for r in results if r.passed)
+    return {r.name: r.detail.partition(": ")[0] for r in results if not r.passed}
+
+
+@pytest.mark.parametrize("degree,generators", sorted(COALGEBRA_FAILED_AT))
 def test_a_coproduct_fault_is_caught_at_its_first_bar_word(
     degree, generators, monkeypatch
 ):
-    FAULTS["coproduct-left-at-3"](monkeypatch)
-    results = verify_suite(degree, generators).results
-    assert [r.name for r in results] == CHECKS
-    failed = {r.name: r.detail.partition(": ")[0] for r in results if not r.passed}
-    assert failed == COALGEBRA_FAILED_AT
-    assert all(r.detail == "" for r in results if r.passed)
+    failed = _failed_prefixes("coproduct-left-at-3", degree, generators, monkeypatch)
+    assert failed == COALGEBRA_FAILED_AT[(degree, generators)]
+
+
+@pytest.mark.parametrize("fault,degree,generators", sorted(HALF_FAILED_AT))
+def test_a_half_coproduct_fault_is_caught_at_its_first_bar_word(
+    fault, degree, generators, monkeypatch
+):
+    failed = _failed_prefixes(fault, degree, generators, monkeypatch)
+    assert failed == HALF_FAILED_AT[(fault, degree, generators)]
 
 
 def test_a_round_trip_disagreement_prints_the_whole_report(monkeypatch, capsys):
@@ -664,6 +732,35 @@ def test_a_round_trip_disagreement_prints_the_whole_report(monkeypatch, capsys):
     ) in lines
     assert lines[-1] == f"identities: {len(CHECKS) - 2} passed, 2 failed"
     assert captured.err == ""
+
+
+def test_a_route_disagreement_in_the_parity_check_fails_that_check_alone(
+    monkeypatch, capsys
+):
+    real = transforms.moments_to_cumulants
+    disagreement = RouteDisagreementError(
+        "free moments disagree at 'a': shuffle route 1, partition route 2",
+        word=Word((0,)),
+        values=(1, 2),
+    )
+
+    def disagreeing(m, target):
+        # at two generators only the parity check converts one-generator moments
+        if m.n_letters == 1:
+            raise disagreement
+        return real(m, target)
+
+    monkeypatch.setattr(transforms, "moments_to_cumulants", disagreeing)
+    report = verify_suite(3, 2)
+    assert [r.name for r in report.results] == CHECKS
+    failed = {r.name: r.detail for r in report.results if not r.passed}
+    assert failed == {"parity-univariate": str(disagreement)}
+    assert cli.main(["verify", "--degree", "3", "--generators", "2"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        f"FAIL parity-univariate: {disagreement}",
+        f"identities: {len(CHECKS) - 1} passed, 1 failed",
+    ]
 
 
 def test_moments_reach_monotone_cumulants_through_magnus(monkeypatch):
