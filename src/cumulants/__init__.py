@@ -9,17 +9,7 @@ and compared exactly; conversions out of moments run the shuffle calculus
 alone.
 """
 
-from .coproducts import (
-    coproduct,
-    coproduct_left,
-    coproduct_left_reduced,
-    coproduct_reduced,
-    coproduct_right,
-    coproduct_right_reduced,
-    iterated_reduced_left,
-    reduced_linearised,
-    split_product,
-)
+from .coproducts import iterated_reduced_left
 from .errors import (
     CumulantsError,
     IncompleteTableError,
@@ -110,12 +100,6 @@ __all__ = [
     "conv",
     "convert",
     "convert_table",
-    "coproduct",
-    "coproduct_left",
-    "coproduct_left_reduced",
-    "coproduct_reduced",
-    "coproduct_right",
-    "coproduct_right_reduced",
     "cumulants_to_moments",
     "default_max_degree",
     "enumerate_interval",
@@ -139,9 +123,7 @@ __all__ = [
     "parse_table",
     "parse_word",
     "random_table",
-    "reduced_linearised",
     "render_table",
-    "split_product",
     "tree_factorial",
     "triangle",
     "verify_suite",

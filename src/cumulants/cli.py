@@ -363,6 +363,13 @@ def main(argv=None) -> int:
     except _Stop as stop:
         (sys.stdout if stop.code == 0 else sys.stderr).write(stop.text)
         return stop.code
+    # Exact values can outgrow the interpreter's limit on int <-> str
+    # conversion (4300 digits by default), so the command runs with it
+    # lifted and puts it back; interpreters without the limit lack the
+    # setting
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return run(args)
     except IncompleteTableError as exc:
@@ -373,6 +380,9 @@ def main(argv=None) -> int:
         return 3
     except (TableFormatError, InvalidFormError, ValueError, OSError) as exc:
         return _fail(str(exc))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 if __name__ == "__main__":
     sys.exit(main())

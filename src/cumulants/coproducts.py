@@ -46,14 +46,14 @@ the mask shapes of every degree up to 12 hold 0.17 MB (tracemalloc), and
 the concatenation table holds 3044 pairs, 0.37 MB, after `verify` at
 degree 6 on two letters, and 12 932 pairs, 1.5 MB, at degree 7.
 
-The bar-word maps `coproduct`, `coproduct_left`, `coproduct_right` and
-their reduced variants read the id terms back into a fresh dict from a
-pair of bar-words to its positive int count; the reduced linearised
-variant returns pairs of plain words, and its iteration tuples of words.
-A count numbers the masks (or interval splits) that give the key, so no
-zero is ever stored and dict equality is equality of the sums.  The
-word-level maps are memoized and return shared dicts, so callers must
-treat those results as read-only.
+The id terms are this module's only representation of the coproducts:
+callers read a leg id back through `BARWORDS` themselves.  A count
+numbers the masks that give its (x, y) pair, so no zero is ever stored and
+equal pair-count dicts are equal sums.  `iterated_reduced_left` reads the
+reduced linearised coproduct off the full one, as the terms whose legs
+are both non-unit and whose right leg is one word, so `_split` is the
+only code here that splits a word.  The cached results are shared, so
+callers must treat them as read-only.
 """
 
 from __future__ import annotations
@@ -188,20 +188,9 @@ def _register(u: BarWord) -> int:
     return i
 
 
-def terms_of(pairs: dict) -> tuple:
-    """A dict from bar-word pairs to counts as (x id, y id, count) terms."""
-    return tuple((bar_id(x), bar_id(y), c) for (x, y), c in pairs.items())
-
-
 def _as_terms(counts: dict) -> tuple:
     """A dict from (x id, y id) to counts as (x id, y id, count) terms."""
     return tuple((x, y, c) for (x, y), c in counts.items())
-
-
-def _pairs(terms) -> dict:
-    """Id terms read back as a dict from bar-word pairs to counts."""
-    bars = BARWORDS
-    return {(bars[x], bars[y]): c for x, y, c in terms}
 
 
 def _concat(a: int, b: int) -> int:
@@ -225,11 +214,6 @@ def _product(s, t) -> tuple:
             key = (_concat(x1, x2), _concat(y1, y2))
             acc[key] = acc.get(key, 0) + c1 * c2
     return _as_terms(acc)
-
-
-def split_product(s: dict, t: dict) -> dict:
-    """Componentwise bar-concatenation of two leg-pair count dicts."""
-    return _pairs(_product(terms_of(s), terms_of(t)))
 
 
 def _split(uid: int, split_first, first_mask: int, step: int) -> tuple:
@@ -311,69 +295,15 @@ def coproduct_right_terms(i: int) -> tuple:
     return _split(i, coproduct_right_terms, 0, 2)
 
 
-def coproduct(u: BarWord) -> dict:
-    """The full coproduct; grouplike on the unit, multiplicative on factors."""
-    return _pairs(coproduct_terms(bar_id(u)))
-
-
-def coproduct_left(u: BarWord) -> dict:
-    """Left half-coproduct: first factor split with position 1 extracted."""
-    return _pairs(coproduct_left_terms(bar_id(u)))
-
-
-def coproduct_right(u: BarWord) -> dict:
-    """Right half-coproduct: first factor split with position 1 kept."""
-    return _pairs(coproduct_right_terms(bar_id(u)))
-
-
-def _without_unit_legs(terms) -> dict:
-    """The pairs whose legs are both non-unit: on a non-unit u the dropped
-    ones are u (x) unit and unit (x) u, each counted once."""
-    return _pairs(term for term in terms if term[0] and term[1])
-
-
-def coproduct_reduced(u: BarWord) -> dict:
-    """Coproduct with both unit-leg terms removed; undefined on the unit."""
-    if u.is_unit:
-        raise ValueError("the reduced coproduct is undefined on the unit bar-word")
-    return _without_unit_legs(coproduct_terms(bar_id(u)))
-
-
-def coproduct_left_reduced(u: BarWord) -> dict:
-    """Left half with the u (x) unit term removed."""
-    return _without_unit_legs(coproduct_left_terms(bar_id(u)))
-
-
-def coproduct_right_reduced(u: BarWord) -> dict:
-    """Right half with the unit (x) u term removed."""
-    return _without_unit_legs(coproduct_right_terms(bar_id(u)))
-
-
-@cache
-def reduced_linearised(w: Word) -> dict:
-    """Middle-interval extraction with single-word legs.
-
-    Splits [1..n] into consecutive intervals I1, I2, I3 with I2 non-empty
-    and I1 u I3 non-empty; each split contributes the pair (word on I1 then
-    I3, word on I2).  Keys are (Word, Word) pairs.
-    """
-    n = len(w)
-    acc: dict = {}
-    for i in range(n + 1):  # I1 = positions 1..i
-        for j in range(i + 1, n + 1):  # I2 = positions i+1..j
-            if i == 0 and j == n:
-                continue
-            key = (Word(w[:i] + w[j:]), Word(w[i:j]))
-            acc[key] = acc.get(key, 0) + 1
-    return acc
-
-
 @cache
 def iterated_reduced_left(w: Word, q: int) -> dict:
     """(q-1)-fold left iteration of the reduced linearised coproduct.
 
-    Keys are q-tuples of non-empty words; the interval extracted last sits
-    in the final slot.  Defined for 1 <= q <= degree(w).
+    The reduced linearised coproduct of w is the part of its coproduct
+    whose legs are both non-unit and whose right leg is one word: a middle
+    interval of w, with the outer letters, in place, on the left.  Keys
+    are q-tuples of non-empty words; the interval extracted last sits in
+    the final slot.  Defined for 1 <= q <= degree(w).
     """
     n = len(w)
     if not 1 <= q <= n:
@@ -381,7 +311,10 @@ def iterated_reduced_left(w: Word, q: int) -> dict:
     if q == 1:
         return {(w,): 1}
     acc: dict = {}
-    for (rest, extracted), c in reduced_linearised(w).items():
+    for x, y, c in coproduct_terms(bar_id(lift(w))):
+        if not x or len(BARWORDS[y]) != 1:
+            continue  # the unit (x) w term has a one-word right leg too
+        rest, extracted = BARWORDS[x][0], BARWORDS[y][0]
         if rest.degree < q - 1:
             continue
         for head, d in iterated_reduced_left(rest, q - 1).items():

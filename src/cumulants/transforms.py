@@ -59,6 +59,12 @@ DEFAULT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 CONVERT_DEGREE_CAP = partitions.MAX_N
 VERIFY_DEGREE_CAP = 8
 VERIFY_LETTERS_CAP = 4
+# verify reads the coproduct of every non-unit bar-word up to its degree:
+# sum over n of 2^(n - 1) g^n of them on g generators.  43 690 is the count
+# at degree 8 on two generators, which ran in 106 s at 1065 MB peak RSS
+# (Python 3.11, 2-core Xeon); (3, 6) and (4, 5) fall below it, and (3, 7),
+# (4, 6) and every larger size above.
+VERIFY_BARWORDS_CAP = 43_690
 
 
 def default_max_degree(n_letters: int) -> int:
@@ -498,12 +504,21 @@ def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport
     bar-words.  A route disagreement inside a round trip or the parity
     check fails that check alone.  The route checks read each
     kind's exponential, partition family and weight, and its conversion to
-    monotone cumulants from the tables that the conversions use.
+    monotone cumulants from the tables that the conversions use.  A size
+    with more than VERIFY_BARWORDS_CAP non-unit bar-words is refused with
+    ValueError before any work.
     """
     if not 1 <= max_degree <= VERIFY_DEGREE_CAP:
         raise ValueError(f"degree must be 1..{VERIFY_DEGREE_CAP}, got {max_degree}")
     if not 1 <= n_letters <= VERIFY_LETTERS_CAP:
         raise ValueError(f"generators must be 1..{VERIFY_LETTERS_CAP}, got {n_letters}")
+    count = sum(2 ** (n - 1) * n_letters**n for n in range(1, max_degree + 1))
+    if count > VERIFY_BARWORDS_CAP:
+        raise ValueError(
+            f"degree {max_degree} on {n_letters} generators spans {count} bar-words; "
+            f"verify runs at most {VERIFY_BARWORDS_CAP}, the count at degree 8 "
+            "on 2 generators"
+        )
     rng = random.Random(seed)
     report = VerifyReport(max_degree, n_letters, seed)
 

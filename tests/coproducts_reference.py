@@ -4,12 +4,22 @@ of a one-factor bar-word, and `concat` builds and hashes the concatenated
 bar-word for every pair of legs.  The three maps below recurse on `split`
 alone, uncached, and register their bar-words in the package's registry,
 so their id terms compare with the package's directly; tests/
-test_coproducts.py compares them exactly, values and term order."""
+test_coproducts.py compares them exactly, values and term order.
+
+`reduced_linearised` is the interval loop that the package ran for the
+reduced linearised coproduct before it read those terms off the full
+coproduct, and `iterated_reduced_left` its left iteration on that loop.
+`read_back` spells id terms as a dict from bar-word pairs to counts."""
 
 from __future__ import annotations
 
 from cumulants.coproducts import BARWORDS, bar_id
 from cumulants.words import BarWord, Word, bar_concat, lift
+
+
+def read_back(terms) -> dict:
+    """Id terms as a dict from (x, y) bar-word pairs to counts."""
+    return {(BARWORDS[x], BARWORDS[y]): c for x, y, c in terms}
 
 
 def concat(a: int, b: int) -> int:
@@ -66,3 +76,31 @@ def coproduct_left_terms(i: int) -> tuple:
 
 def coproduct_right_terms(i: int) -> tuple:
     return split(i, 0, 2)  # position 1 kept: even masks
+
+
+def reduced_linearised(w: Word) -> dict:
+    """Splits [1..n] into consecutive intervals I1, I2, I3 with I2 non-empty
+    and I1 u I3 non-empty; each split counts once for the pair (word on I1
+    then I3, word on I2)."""
+    n = len(w)
+    acc: dict = {}
+    for i in range(n + 1):  # I1 = positions 1..i
+        for j in range(i + 1, n + 1):  # I2 = positions i+1..j
+            if i == 0 and j == n:
+                continue
+            key = (Word(w[:i] + w[j:]), Word(w[i:j]))
+            acc[key] = acc.get(key, 0) + 1
+    return acc
+
+
+def iterated_reduced_left(w: Word, q: int) -> dict:
+    """The (q-1)-fold left iteration of `reduced_linearised`, 1 <= q <= n."""
+    if q == 1:
+        return {(w,): 1}
+    acc: dict = {}
+    for (rest, extracted), c in reduced_linearised(w).items():
+        if rest.degree >= q - 1:
+            for head, d in iterated_reduced_left(rest, q - 1).items():
+                key = head + (extracted,)
+                acc[key] = acc.get(key, 0) + c * d
+    return acc

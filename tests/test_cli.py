@@ -66,6 +66,41 @@ def test_convert_output_is_canonical(semi_file, capsys):
     assert render_table(parse_table(out)) == out
 
 
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit on int <-> str conversion for the
+    test, whatever ran before it, and the old limit back afterwards; None
+    on an interpreter with no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield sys.int_info.default_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_large_exact_values_round_trip(tmp_path, capsys, default_digit_limit):
+    # a 400-digit value on a reaches 4799 digits in the degree-12 moment,
+    # past the default 4300-digit limit, which main lifts while the
+    # command runs
+    values = {"a" * n: "1" for n in range(1, 13)}
+    values["a"] = str(7 * 10**399 + 12345)
+    text = json.dumps({"kind": "free", "generators": ["a"], "max_degree": 12, "values": values})
+    free, moment, back = (tmp_path / f"{name}.json" for name in ("free", "moment", "back"))
+    free.write_text(text, encoding="utf-8")
+    assert main(["convert", "-i", str(free), "--to", "moment", "-o", str(moment)]) == 0
+    moments = json.loads(moment.read_text(encoding="utf-8"))["values"]
+    assert max(len(v) for v in moments.values()) == 4799
+    assert main(["convert", "-i", str(moment), "--to", "free", "-o", str(back)]) == 0
+    assert back.read_text(encoding="utf-8") == render_table(parse_table(text))
+    assert capsys.readouterr().err == ""
+    if default_digit_limit is not None:  # the caller's limit is back in place
+        assert sys.get_int_max_str_digits() == default_digit_limit
+
+
 def test_convert_respects_declared_kind(semi_file, capsys):
     code = main(["convert", "-i", str(semi_file), "--from", "free", "--to", "boolean"])
     assert code == 1

@@ -17,18 +17,10 @@ from cumulants import coproducts
 from cumulants.coproducts import (
     BARWORDS,
     bar_id,
-    coproduct,
-    coproduct_left,
-    coproduct_left_reduced,
     coproduct_left_terms,
-    coproduct_reduced,
-    coproduct_right,
-    coproduct_right_reduced,
     coproduct_right_terms,
     coproduct_terms,
     iterated_reduced_left,
-    reduced_linearised,
-    split_product,
 )
 from cumulants.transforms import verify_suite
 from cumulants.words import UNIT, BarWord, Word, all_barwords, all_words, bar_concat, lift
@@ -53,12 +45,18 @@ def added(*parts):
     return total
 
 
+HALVES = (coproduct_left_terms, coproduct_right_terms)
+MAPS = (coproduct_terms, *HALVES)
+
+
 def test_coproduct_of_unit_is_grouplike():
-    assert coproduct(UNIT) == {(UNIT, UNIT): 1}
+    assert coproduct_terms(bar_id(UNIT)) == ((0, 0, 1),)
+    assert reference.read_back(coproduct_terms(0)) == {(UNIT, UNIT): 1}
 
 
 def test_coproduct_single_letter():
-    assert coproduct(lift(A)) == {(lift(A), UNIT): 1, (UNIT, lift(A)): 1}
+    got = reference.read_back(coproduct_terms(bar_id(lift(A))))
+    assert got == {(lift(A), UNIT): 1, (UNIT, lift(A)): 1}
 
 
 def test_coproduct_two_letters_by_hand():
@@ -69,90 +67,99 @@ def test_coproduct_two_letters_by_hand():
         (lift(B), lift(A)): 1,
         (lift(AB), UNIT): 1,
     }
-    assert coproduct(lift(AB)) == expect
+    assert reference.read_back(coproduct_terms(bar_id(lift(AB)))) == expect
 
 
 def test_coproduct_middle_extraction_leaves_two_components():
     # extracting the middle letter of aba leaves a|a on the right leg
-    assert coproduct(lift(Word((0, 1, 0))))[(lift(B), bw(A, A))] == 1
+    got = reference.read_back(coproduct_terms(bar_id(lift(Word((0, 1, 0))))))
+    assert got[(lift(B), bw(A, A))] == 1
 
 
 def test_coproduct_is_multiplicative_over_bars():
     # each map splits the first factor its own way, then multiplies by the
     # full coproduct of every later factor, from left to right
-    for split_first in (coproduct, coproduct_left, coproduct_right):
+    for terms_of_id in MAPS:
         for u in all_barwords(2, 4):
             first, *rest = u
-            expect = split_first(lift(first))
+            expect = reference.read_back(terms_of_id(bar_id(lift(first))))
             for w in rest:
-                expect = split_product(expect, coproduct(lift(w)))
-            assert split_first(u) == expect, (split_first.__name__, u)
+                later = reference.read_back(coproduct_terms(bar_id(lift(w))))
+                expect = bar_product(expect, later)
+            got = reference.read_back(terms_of_id(bar_id(u)))
+            assert got == expect, (terms_of_id.__name__, u)
 
 
 def test_coproduct_coefficients_are_positive_ints():
     # forms.Conv sums c * f(x) * g(y) in integers, which needs int c; and
     # since no sum of positive counts cancels, no map needs to prune zeros
     for u in all_barwords(2, 4, include_unit=True):
-        splits = (coproduct,)
-        if not u.is_unit:
-            splits += (coproduct_left, coproduct_right)
-        for split in splits:
-            for key, c in split(u).items():
-                assert type(c) is int and c > 0, (split.__name__, u, key, c)
+        for terms_of_id in MAPS if u else (coproduct_terms,):
+            for x, y, c in terms_of_id(bar_id(u)):
+                assert type(c) is int and c > 0, (terms_of_id.__name__, u, x, y, c)
     for w in all_words(2, 6):
-        counts = [("reduced_linearised", reduced_linearised(w))]
-        counts += [(q, iterated_reduced_left(w, q)) for q in range(1, w.degree + 1)]
-        for split, terms in counts:
-            for key, c in terms.items():
-                assert type(c) is int and c > 0, (split, w, key, c)
+        for q in range(1, w.degree + 1):
+            for key, c in iterated_reduced_left(w, q).items():
+                assert type(c) is int and c > 0, (q, w, key, c)
 
 
 def test_half_coproducts_partition_the_full_one():
     for u in all_barwords(2, 4):
-        assert added(coproduct_left(u), coproduct_right(u)) == coproduct(u)
+        i = bar_id(u)
+        halves = [reference.read_back(terms_of_id(i)) for terms_of_id in HALVES]
+        assert added(*halves) == reference.read_back(coproduct_terms(i))
 
 
 def test_half_coproducts_reject_the_unit():
-    with pytest.raises(ValueError):
-        coproduct_left(UNIT)
-    with pytest.raises(ValueError):
-        coproduct_right(UNIT)
+    for terms_of_id in HALVES:
+        with pytest.raises(ValueError):
+            terms_of_id(bar_id(UNIT))
 
 
 def test_left_half_always_keeps_first_letter():
     for u in all_barwords(2, 4):
         first = u[0][0]
-        for (x, y), _ in coproduct_left(u).items():
-            assert not x.is_unit
-            assert x[0][0] == first
+        for x, _, _ in coproduct_left_terms(bar_id(u)):
+            assert x
+            assert BARWORDS[x][0][0] == first
 
 
 def test_right_half_never_extracts_first_letter():
     for u in all_barwords(2, 4):
         first_factor = u[0]
-        for (x, y), _ in coproduct_right(u).items():
-            assert not y.is_unit
+        for _, y, _ in coproduct_right_terms(bar_id(u)):
+            assert y
             # the first factor's leading letter stays on the right leg
-            assert y[0][0] == first_factor[0]
+            assert BARWORDS[y][0][0] == first_factor[0]
 
 
 def test_reduced_variants_drop_unit_legs():
+    # the terms that verify's reduced maps skip: u (x) unit and unit (x) u
+    # in the full coproduct, each once, and one of them in each half
     for u in all_barwords(2, 3):
-        both = coproduct_reduced(u)
-        assert all(not x.is_unit and not y.is_unit for (x, y), _ in both.items())
-        full = added(both, {(u, UNIT): 1, (UNIT, u): 1})
-        assert full == coproduct(u)
+        u_unit, unit_u = {(u, UNIT): 1}, {(UNIT, u): 1}
+        for terms_of_id, ends in (
+            (coproduct_terms, (u_unit, unit_u)),
+            (coproduct_left_terms, (u_unit,)),
+            (coproduct_right_terms, (unit_u,)),
+        ):
+            terms = terms_of_id(bar_id(u))
+            both = reference.read_back(term for term in terms if term[0] and term[1])
+            assert added(both, *ends) == reference.read_back(terms), (terms_of_id.__name__, u)
+
+
+# The reduced linearised coproduct is the q = 2 iteration.
 
 
 def test_reduced_linearised_cube_by_hand():
     # interval splittings of aaa with non-trivial middle: the outer part
     # keeps its letters in place, so the coefficients are 3 and 2
     expect = {(AA, A): 3, (A, AA): 2}
-    assert reduced_linearised(AAA) == expect
+    assert iterated_reduced_left(AAA, 2) == expect
 
 
 def test_reduced_linearised_mixed_letters():
-    got = reduced_linearised(Word((0, 1, 2)))
+    got = iterated_reduced_left(Word((0, 1, 2)), 2)
     expect = {
         (Word((1, 2)), A): 1,
         (Word((0, 2)), B): 1,
@@ -161,6 +168,16 @@ def test_reduced_linearised_mixed_letters():
         (A, Word((1, 2))): 1,
     }
     assert got == expect
+
+
+def test_iterated_reduced_left_matches_the_interval_loop():
+    # the terms read off the full coproduct against the interval loop of
+    # tests/coproducts_reference.py, at q = 2 and at every depth
+    for w in [*all_words(2, 6), *(Word(range(n)) for n in range(1, 8))]:
+        if w.degree > 1:
+            assert iterated_reduced_left(w, 2) == reference.reduced_linearised(w), w
+        for q in range(1, w.degree + 1):
+            assert iterated_reduced_left(w, q) == reference.iterated_reduced_left(w, q), (w, q)
 
 
 def test_iterated_reduced_left_full_depth_is_factorial():
@@ -182,18 +199,17 @@ def test_iterated_reduced_left_rejects_bad_depth():
 
 
 def assert_coassociative(u):
+    # (delta (x) id) delta = (id (x) delta) delta, on id triples
     left = {}
     right = {}
-    for (x, y), c in coproduct(u).items():
-        for (p, q), d in coproduct(x).items():
+    for x, y, c in coproduct_terms(bar_id(u)):
+        for p, q, d in coproduct_terms(x):
             key = (p, q, y)
             left[key] = left.get(key, 0) + c * d
-        for (p, q), d in coproduct(y).items():
+        for p, q, d in coproduct_terms(y):
             key = (x, p, q)
             right[key] = right.get(key, 0) + c * d
-    assert {k: v for k, v in left.items() if v} == {
-        k: v for k, v in right.items() if v
-    }
+    assert left == right
 
 
 def test_coassociativity_low_degrees():
@@ -221,7 +237,9 @@ def barwords(draw, n_letters=3, max_degree=6):
 @given(barwords())
 def test_coproduct_laws_beyond_the_exhaustive_range(u):
     assert_coassociative(u)
-    assert added(coproduct_left(u), coproduct_right(u)) == coproduct(u)
+    i = bar_id(u)
+    halves = [reference.read_back(terms_of_id(i)) for terms_of_id in HALVES]
+    assert added(*halves) == reference.read_back(coproduct_terms(i))
 
 
 # The split from its definition, by 1-based position sets: the oracle for
@@ -277,10 +295,10 @@ one_factor_words = st.integers(1, 3).flatmap(
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(one_factor_words)
 def test_one_factor_splits_match_the_position_set_definition(w):
-    u = lift(w)
-    assert coproduct(u) == split_by_position_sets(w, lambda s: True)
-    assert coproduct_left(u) == split_by_position_sets(w, lambda s: 1 in s)
-    assert coproduct_right(u) == split_by_position_sets(w, lambda s: 1 not in s)
+    i = bar_id(lift(w))
+    for terms_of_id, keep in ID_TERM_MAPS:
+        got = reference.read_back(terms_of_id(i))
+        assert got == split_by_position_sets(w, keep), terms_of_id.__name__
 
 
 # The bar-word registry and the id terms the three maps cache.

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cumulants.coproducts import coproduct, coproduct_left, coproduct_right
+from coproducts_reference import read_back
+from cumulants.coproducts import (
+    bar_id,
+    coproduct_left_terms,
+    coproduct_right_terms,
+    coproduct_terms,
+)
 from cumulants.errors import IncompleteTableError, InvalidFormError
 from cumulants.forms import (
     CONV,
@@ -193,7 +199,7 @@ def test_incomplete_tables_surface_from_deep_evaluation():
 # The per-term Fraction sum from the definition: the oracle for the integer
 # sum in `Conv._eval`.
 
-SPLITTERS = {CONV: coproduct, LEFT: coproduct_left, RIGHT: coproduct_right}
+SPLITTERS = {CONV: coproduct_terms, LEFT: coproduct_left_terms, RIGHT: coproduct_right_terms}
 
 
 def reference_conv(kind, f, g, u):
@@ -204,7 +210,7 @@ def reference_conv(kind, f, g, u):
             return f.eval(u) if g is COUNIT else F(0)
         return g.eval(u) if f is COUNIT else F(0)
     total = F(0)
-    for (x, y), c in SPLITTERS[kind](u).items():
+    for (x, y), c in read_back(SPLITTERS[kind](bar_id(u))).items():
         fx = f.eval(x)
         if fx:
             gy = g.eval(y)

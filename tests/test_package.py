@@ -54,8 +54,11 @@ def _relative_imports(module: str) -> set[str]:
 
 def test_the_routes_share_no_code_that_computes_values():
     # The word-table kernels (prelie), the reference forms (forms) and the
-    # partition sums (partitions) meet only in words and tables.
+    # partition sums (partitions) meet only in words and tables; the
+    # coproducts, which the forms and the monotone checks read, build on
+    # words alone.
     assert _relative_imports("prelie") == {"words"}
+    assert _relative_imports("coproducts") == {"words"}
     assert not _relative_imports("forms") & {"prelie", "partitions"}
     assert not _relative_imports("partitions") & {"forms", "prelie", "coproducts"}
 

@@ -6,7 +6,9 @@ from math import prod
 
 import pytest
 
+from coproducts_reference import read_back
 from cumulants import cli, coproducts, forms, prelie, transforms
+from cumulants.coproducts import bar_id
 from cumulants.errors import IncompleteTableError, RouteDisagreementError
 from cumulants.transforms import (
     CumulantTable,
@@ -170,7 +172,7 @@ def reference_solve_free(m):
     kappa = {}
     for w in all_words(m.n_letters, m.max_degree):
         rest = F(0)
-        for (x, y), c in coproducts.coproduct_left(lift(w)).items():
+        for (x, y), c in read_back(coproducts.coproduct_left_terms(bar_id(lift(w)))).items():
             if not y.is_unit:
                 rest += c * kappa[x[0]] * prod((m.values[v] for v in y), start=F(1))
         kappa[w] = m.values[w] - rest
@@ -360,35 +362,52 @@ def test_the_one_block_partition_weighs_one_under_the_backward_sums():
 
 
 @pytest.mark.parametrize(
-    "split", [coproducts.coproduct, coproducts.coproduct_left, coproducts.coproduct_right]
+    "split_terms",
+    [
+        coproducts.coproduct_terms,
+        coproducts.coproduct_left_terms,
+        coproducts.coproduct_right_terms,
+    ],
+    ids=["coproduct", "coproduct_left", "coproduct_right"],
 )
-def test_split_leg_equals_the_slice_formula(split):
+def test_split_leg_equals_the_slice_formula(split_terms):
     # the triples as the concatenation pair[:leg] + legs + pair[leg + 1:];
     # the halves are undefined on the unit, so they split only the pairs
     # whose leg is not the unit; _split_leg works on ids, and its triples
     # are read back through the registry
-    split_terms = {
-        coproducts.coproduct: coproducts.coproduct_terms,
-        coproducts.coproduct_left: coproducts.coproduct_left_terms,
-        coproducts.coproduct_right: coproducts.coproduct_right_terms,
-    }[split]
+    full = split_terms is coproducts.coproduct_terms
     for u in all_barwords(2, 4, include_unit=True):
         for leg in (0, 1):
-            pairs = {
-                pair: c
-                for pair, c in coproducts.coproduct(u).items()
-                if split is coproducts.coproduct or not pair[leg].is_unit
-            }
+            terms = [t for t in coproducts.coproduct_terms(bar_id(u)) if full or t[leg]]
             expected = {}
-            for pair, c in pairs.items():
-                for legs, d in split(pair[leg]).items():
+            for pair, c in read_back(terms).items():
+                for legs, d in read_back(split_terms(bar_id(pair[leg]))).items():
                     key = pair[:leg] + legs + pair[leg + 1 :]
                     expected[key] = expected.get(key, 0) + c * d
-            triples = transforms._split_leg(coproducts.terms_of(pairs), leg, split_terms)
+            triples = transforms._split_leg(terms, leg, split_terms)
             got = {
                 tuple(coproducts.BARWORDS[i] for i in key): c for key, c in triples.items()
             }
             assert got == expected, (u, leg)
+
+
+class _Started(Exception):
+    """verify_suite got past its checks and listed its bar-words."""
+
+
+def test_verify_refuses_sizes_over_the_bar_word_bound_before_any_work(monkeypatch):
+    def started(*args, **kwargs):
+        raise _Started
+
+    monkeypatch.setattr(transforms, "all_barwords", started)
+    # 2^(n - 1) g^n bar-words of each degree n: (2, 8) has 43 690 and is
+    # admitted, as are the smaller counts at (3, 6) and (4, 5)
+    for degree, generators in [(8, 2), (8, 1), (6, 3), (5, 4)]:
+        with pytest.raises(_Started):
+            verify_suite(degree, generators)
+    for degree, generators, count in [(7, 3, 167961), (6, 4, 149796), (8, 4, 9586980)]:
+        with pytest.raises(ValueError, match=f"spans {count} bar-words; .* at most 43690"):
+            verify_suite(degree, generators)
 
 
 def test_verify_suite_passes_on_several_seeds():
