@@ -1,5 +1,6 @@
 """Shared test setup."""
 
+import gc
 import tempfile
 
 import pytest
@@ -19,3 +20,15 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     set_hypothesis_home_dir(None)
     config.stash[_HOME].cleanup()
+
+
+@pytest.fixture(autouse=True)
+def _collector_state_is_kept():
+    # The package pauses the cyclic collector while it builds partition
+    # shapes; a pause that leaks past a test fails that test here, and the
+    # state is put back so the tests after it start as they should.
+    enabled = gc.isenabled()
+    yield
+    if gc.isenabled() != enabled:
+        (gc.enable if enabled else gc.disable)()
+        pytest.fail(f"the test left the cyclic collector {'off' if enabled else 'on'}")

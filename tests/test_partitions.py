@@ -205,6 +205,59 @@ def test_enumeration_holds_no_gap_records_once_done(enumerate_family, count):
     assert sum(map(sys.getsizeof, kept)) < 100_000
 
 
+def test_no_partition_helper_leaves_cyclic_garbage():
+    # Shapes are built with the collector paused, which is only safe if
+    # nothing here makes a reference cycle: with the collector off, a
+    # cycle left by any of these calls stays for `gc.collect` to find.
+    gc.collect()
+    gc.disable()
+    try:
+        for p in enumerate_nc(7)[:200]:
+            partitions._count_labellings(tuple(partitions._forest(p)))
+            for _ in linear_extensions(p):
+                pass
+        enumerate_monotone(7, 3)
+        for family in partitions._FAMILIES:
+            for weight in partitions.WEIGHTS:
+                partitions._shape(7, family, weight)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_the_pause_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    # Inside, the enumeration and the weighing run with the collector off;
+    # outside, it is as it was, also when the enumerator raises.
+    seen = []
+    weigh = partitions.WEIGHTS["inv_tau"]
+
+    def watched(p):
+        seen.append(gc.isenabled())
+        return weigh(p)
+
+    monkeypatch.setattr(partitions, "_SHAPES", {})
+    monkeypatch.setitem(partitions.WEIGHTS, "inv_tau", watched)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        partition_sum(_random_values(2, 6, 3), Word((0, 1, 1, 0, 1, 0)), "irr-nc", "inv_tau")
+        states = [gc.isenabled()]
+        for build in (enumerate_nc, enumerate_irreducible_nc, enumerate_interval):
+            build(6)
+            states.append(gc.isenabled())
+            with pytest.raises(ValueError, match="got 13"):
+                build(13)
+            states.append(gc.isenabled())
+        with pytest.raises(ValueError, match="got 13"):
+            partition_sum({}, Word((0,) * 13), "nc")
+        states.append(gc.isenabled())
+    finally:
+        gc.enable()
+    assert seen and not any(seen)
+    assert states == [enabled] * 8
+
+
 def test_labelling_count_is_hook_quotient():
     # The hook formula counts labellings as s!/tau!, so tau! divides s!.
     for n in range(1, 8):
@@ -661,11 +714,19 @@ def _interned_shape(n, family, weight):
 
 def _spelled(shape, n):
     """A shape of `partitions._shapes` with each block reader replaced by
-    the positions it reads: read off the word 0 1 ... n-1, a block's
-    letters are its 0-based positions."""
+    the positions it reads (read off the word 0 1 ... n-1, a block's
+    letters are its 0-based positions), and each group's flat members cut
+    back into one tuple of k block ids per partition."""
     readers, scale, groups = shape
     positions = tuple(range(n))
-    return tuple(read(positions) for read in readers), scale, groups
+    return (
+        tuple(read(positions) for read in readers),
+        scale,
+        tuple(
+            (k, c, tuple(members[i : i + k] for i in range(0, len(members), k)))
+            for k, c, members in groups
+        ),
+    )
 
 
 @pytest.mark.parametrize("weight", _WEIGHT_NAMES)
