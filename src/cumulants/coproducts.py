@@ -6,7 +6,8 @@ right, one term per subset (2^n in total).  S is read as a mask whose bit
 i - 1 is set when position i is extracted.  The masks of n positions
 depend only on n, so each degree's mask shapes are built once, from those
 of degree n - 1, and kept: the extracted positions and the (start, stop)
-bounds of the unextracted runs of every mask in mask order.  A word of
+bounds of the unextracted runs of every mask, one bytes object each, in
+mask order.  A word of
 degree n is read through them, its left leg by mapping its letter lookup
 over the positions and its right leg by slicing it at the runs, with no
 loop over its letters.  On bar-words the coproduct extends multiplicatively,
@@ -42,7 +43,7 @@ integers.
 The registry, the caches, the concatenation table and the mask shapes are
 plain dicts and lists or `functools.cache`s that never shrink, which is
 safe because inputs are degree-bounded in every pipeline.  On Python 3.11
-the mask shapes of every degree up to 12 hold 0.17 MB (tracemalloc), and
+the mask shapes of every degree up to 12 hold 0.45 MB (tracemalloc), and
 the concatenation table holds 3044 pairs, 0.37 MB, after `verify` at
 degree 6 on two letters, and 12 932 pairs, 1.5 MB, at degree 7.
 
@@ -58,8 +59,6 @@ callers must treat them as read-only.
 
 from __future__ import annotations
 
-import struct
-import sys
 import threading
 from functools import cache
 
@@ -73,97 +72,43 @@ _REGISTERING = threading.Lock()
 _CONCATS: dict = {}
 
 
-_UINT = struct.Struct("I")  # an offset: a native unsigned int, as memoryview "I"
-
-
-def _uints(data: bytes) -> memoryview:
-    """Packed offsets read as unsigned ints."""
-    return memoryview(data).cast("I")
-
-
-def _repeated(value: int, count: int) -> bytes:
-    """count offsets, each value."""
-    return _UINT.pack(value) * count
-
-
-def _added(*buffers) -> bytes:
-    """The elementwise sum of equally long buffers of offsets, as the sum
-    of the integers that their bytes spell: no element of the sum reaches
-    2^32, so no carry crosses into the next element.  No int is made per
-    element, so a degree's offsets are added with no loop in Python."""
-    total = sum(int.from_bytes(b, sys.byteorder) for b in buffers)
-    return total.to_bytes(memoryview(buffers[0]).nbytes, sys.byteorder)
-
-
-def _ramp(count: int) -> bytes:
-    """The offsets 1, 2, ..., count."""
-    ramp = _repeated(1, 1)
-    while len(ramp) < count * _UINT.size:
-        done = len(ramp) // _UINT.size
-        ramp += _added(ramp, _repeated(done, done))
-    return ramp[: count * _UINT.size]
-
-
-# Degree n -> the shapes of the masks of n positions, packed as
-# (taken, taken_at, runs, runs_at): mask m extracts the 0-based positions
-# taken[taken_at[m]:taken_at[m + 1]] and leaves the maximal unextracted
-# runs runs[runs_at[m]:runs_at[m + 1]], read as start, stop, start, stop,
-# ...  Each is one bytes buffer and one buffer of unsigned int offsets
-# per degree, read through a memoryview rather than an array.array, whose
-# extension module would add to every start-up: up to degree 12 they hold
-# 0.17 MB, where a tuple of positions and one of run slices per mask would
-# hold 0.77 MB.  A position below 256 is no limit, since 2^256 masks could
-# never be listed.  Degree n is built from degree n - 1 the first time it
-# is read (see `_grown`).
-_MASKS: list = [(b"", _uints(_repeated(0, 2)), b"", _uints(_repeated(0, 2)))]
-
-
-def _grown(last: int, taken, taken_at, runs, runs_at) -> tuple:
-    """The mask shapes of last + 1 positions from those of last positions,
-    with no loop over the masks: mask m < 2^last keeps position last,
-    extending its last run to it or opening a run there, and mask
-    m + 2^last keeps the runs of m and extracts last after the positions
-    of m.  Each step rewrites a block of masks whose last byte is a
-    position that no other byte of theirs names, with one replace."""
-    half = 1 << last
-    quarter = half >> 1  # the masks below it keep last - 1
-    # masks m + half: the masks from 2^j to 2^(j + 1) extract j last
-    extracted = [bytes((last,))]  # mask 0 extracts nothing
-    for j in range(last):
-        block = taken[taken_at[1 << j] : taken_at[2 << j]]
-        extracted.append(block.replace(bytes((j,)), bytes((j, last))))
-    new_taken = b"".join((taken, *extracted))
-    # the masks from half on follow the len(taken) bytes below half, each
-    # one byte longer than its mask m
-    extracted_at = _added(taken_at[1:], _ramp(half), _repeated(len(taken), half))
-    new_taken_at = _uints(b"".join((taken_at, extracted_at)))
-    # masks m < quarter: the last run stops at last, which becomes last + 1
-    kept = [runs[: runs_at[quarter]].replace(bytes((last,)), bytes((last + 1,)))]
-    # masks quarter to half open the run (last, last + 1) after the runs of
-    # a mask of last - 1 positions, whose highest kept position h closes its
-    # last run with the byte h + 1
-    opened = bytes((last, last + 1))
-    for h in reversed(range(last - 1)):
-        block = runs[runs_at[half - (2 << h)] : runs_at[half - (1 << h)]]
-        kept.append(block.replace(bytes((h + 1,)), bytes((h + 1, *opened))))
-    kept.append(opened)  # the mask that extracts every position
-    kept = b"".join(kept)
-    # from quarter on, each mask is two bytes longer than its mask m
-    ramp = _ramp(half - quarter)
-    opened_at = _added(runs_at[quarter + 1 :], ramp, ramp)
-    # masks m + half: the runs of m, one buffer copy after the kept runs
-    copied_at = _added(runs_at[1:], _repeated(len(kept), half))
-    new_runs_at = _uints(b"".join((runs_at[: quarter + 1], opened_at, copied_at)))
-    return new_taken, new_taken_at, kept + runs, new_runs_at
+# Degree n -> the shapes of the masks of n positions, as a pair
+# (taken, runs) of lists of 2^n bytes in mask order: mask m extracts the
+# 0-based positions taken[m] and leaves the maximal unextracted runs
+# runs[m], read as start, stop, start, stop, ...  Bytes, not tuples: up to
+# degree 12 they hold 0.45 MB, where a tuple of positions and one of run
+# slices per mask would hold 0.77 MB and raise the CLI's peak RSS by
+# 2.6 MB on a degree-12 table.  A position below 256 is no limit, since
+# 2^256 masks could never be listed.  Degree n is built from degree n - 1
+# the first time it is read.
+_MASKS: list = [([b""], [b""])]
 
 
 def _mask_shapes(n: int) -> tuple:
-    """The packed extracted positions and unextracted runs of every mask
-    of n positions, in mask order."""
+    """The extracted positions and unextracted runs of every mask of n
+    positions, in mask order.
+
+    Degree last + 1 comes from degree last: mask m < 2^last keeps position
+    last, extending its last run to it when it keeps last - 1 too (m below
+    2^(last - 1)) and opening a run there otherwise, and mask m + 2^last
+    keeps the runs of m and extracts last after the positions of m."""
     if len(_MASKS) <= n:
         with _REGISTERING:
             while len(_MASKS) <= n:
-                _MASKS.append(_grown(len(_MASKS) - 1, *_MASKS[-1]))
+                last = len(_MASKS) - 1
+                taken, runs = _MASKS[-1]
+                quarter = (1 << last) >> 1
+                extracted = bytes((last,))
+                extended = bytes((last + 1,))
+                opened = bytes((last, last + 1))
+                _MASKS.append(
+                    (
+                        taken + [t + extracted for t in taken],
+                        [r[:-1] + extended for r in runs[:quarter]]
+                        + [r + opened for r in runs[quarter:]]
+                        + runs,
+                    )
+                )
     return _MASKS[n]
 
 
@@ -232,32 +177,27 @@ def _split(uid: int, split_first, first_mask: int, step: int) -> tuple:
         return _product(
             split_first(bar_id(lift(w))), coproduct_terms(bar_id(BarWord(rest)))
         )
-    taken, taken_at, runs, runs_at = _mask_shapes(len(w))
+    taken, runs = _mask_shapes(len(w))
     new = tuple.__new__
     ids = _IDS.get
     letter = w.__getitem__
     acc: dict = {}
-    for a, b, c, d in zip(
-        taken_at[first_mask::step],
-        taken_at[first_mask + 1 :: step],
-        runs_at[first_mask::step],
-        runs_at[first_mask + 1 :: step],
-    ):
+    for positions, bounds in zip(taken[first_mask::step], runs[first_mask::step]):
         # only mask 0 extracts nothing, and its left leg is the unit.  The
         # probes are built through a list, which sizes a tuple exactly:
         # tuple() of an iterator makes 10 slots and shrinks them, so each
         # probe would be freed onto another size's free list, where up to
         # 2000 a size stay held (0.55 MB of left splits at one letter,
         # degree 12)
-        if a < b:
-            letters = (*map(letter, taken[a:b]),)
+        if positions:
+            letters = (*map(letter, positions),)
             x = ids((letters,))
             if x is None:
                 x = _register(new(BarWord, (new(Word, letters),)))
         else:
             x = 0
-        bounds = iter(runs[c:d])
-        factors = (*map(letter, map(slice, bounds, bounds)),)
+        cuts = iter(bounds)
+        factors = (*map(letter, map(slice, cuts, cuts)),)
         y = ids(factors)
         if y is None:
             y = _register(new(BarWord, [new(Word, f) for f in factors]))

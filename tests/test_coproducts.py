@@ -22,7 +22,7 @@ from cumulants.coproducts import (
     coproduct_terms,
     iterated_reduced_left,
 )
-from cumulants.transforms import verify_suite
+from cumulants.transforms import CONVERT_DEGREE_CAP, verify_suite
 from cumulants.words import UNIT, BarWord, Word, all_barwords, all_words, bar_concat, lift
 
 A = Word((0,))
@@ -408,6 +408,14 @@ def test_id_terms_match_the_mask_walk_up_to_degree_10(u):
     assert_terms_match_the_mask_walk(u)
 
 
+@pytest.mark.parametrize("degree", [11, 12])
+@pytest.mark.parametrize("letters", [(0,), (0, 1)], ids=["one-letter", "two-alternating"])
+def test_id_terms_match_the_mask_walk_at_the_top_convert_degrees(letters, degree):
+    # `convert` splits words up to degree 12, past the sampled range above
+    w = Word(tuple(letters[i % len(letters)] for i in range(degree)))
+    assert_terms_match_the_mask_walk(lift(w))
+
+
 @contextlib.contextmanager
 def cold_registry():
     """The registry as a fresh process starts it, holding the unit alone,
@@ -464,12 +472,11 @@ def test_split_looks_legs_up_from_a_cold_and_a_warm_registry(letters):
 
 
 def test_mask_shapes_spell_the_extracted_positions_and_runs():
-    for n in range(9):
-        taken, taken_at, runs, runs_at = coproducts._mask_shapes(n)
-        assert len(taken_at) == len(runs_at) == (1 << n) + 1
-        for mask in range(1 << n):
-            positions = taken[taken_at[mask] : taken_at[mask + 1]]
-            gaps = runs[runs_at[mask] : runs_at[mask + 1]]
+    # every degree that `convert` splits
+    for n in range(CONVERT_DEGREE_CAP + 1):
+        taken, runs = coproducts._mask_shapes(n)
+        assert len(taken) == len(runs) == 1 << n
+        for mask, (positions, gaps) in enumerate(zip(taken, runs)):
             kept = [i for i in range(n) if not mask >> i & 1]
             assert list(positions) == [i for i in range(n) if mask >> i & 1]
             assert [i for a, b in zip(gaps[::2], gaps[1::2]) for i in range(a, b)] == kept

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coproducts_reference import read_back
 from cumulants import cli, coproducts, forms, prelie, transforms
@@ -146,6 +148,22 @@ def test_boolean_solver_matches_the_fraction_recursion():
         expected[w] = values[w] - rest
     assert transforms._solve_boolean(m) == expected
     assert moments_to_cumulants(m, "boolean").values == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(
+    st.sampled_from([(1, 12), (2, 7), (3, 5), (4, 4)]),
+    st.integers(0, 2**32),
+)
+def test_boolean_cumulants_are_one_minus_the_inverse_moments(size, seed):
+    # In the concatenation algebra the moments M = 1 + m satisfy M = 1 + B M,
+    # so B = 1 - M^{-1}; and exp_right(a) = (1 - a)^{-1}, so on every
+    # non-empty word B = -exp_right(-m).  That ties the boolean solver to
+    # the moment kernel, which `convert` checks against interval sums.
+    n_letters, degree = size
+    m = random_table("moment", n_letters, degree, seed)
+    inverse = prelie.exp_right_table({w: -v for w, v in m.values.items()})  # M^{-1}
+    assert moments_to_cumulants(m, "boolean").values == {w: -v for w, v in inverse.items()}
 
 
 def test_moment_round_trip_all_kinds():
