@@ -112,6 +112,18 @@ class CumulantTable:
             f"(tables must be total up to degree {max_degree})",
         )
 
+    @classmethod
+    def _trusted(cls, kind: str, generators, max_degree: int, values) -> "CumulantTable":
+        """For values a kernel or solver has just written: a Fraction on
+        every word up to the bound, in `all_words` order, under generator
+        names already checked.  They are kept as is, and not checked."""
+        t = cls.__new__(cls)
+        t.kind = kind
+        t.generators = generators
+        t.max_degree = max_degree
+        t.values = values
+        return t
+
     @property
     def n_letters(self) -> int:
         return len(self.generators)
@@ -192,12 +204,14 @@ _CONVERSION_SUMS = {
 def _checked(c: CumulantTable, target: str, values, what: str) -> CumulantTable:
     """The table of kind `target` holding `values`, c converted along the
     shuffle route, once the partition route agrees on every word of c.
+    `values` is a kernel's fresh output, a Fraction on every word of c in
+    `all_words` order, so it is kept as is and not checked again.
 
     The first word where the routes differ raises RouteDisagreementError:
     `what`, then the word, then the shuffle-route value and the partition
     sum (forward), or the image of the result and the input (backward).
     """
-    out = CumulantTable(target, c.generators, c.max_degree, values)
+    out = CumulantTable._trusted(target, c.generators, c.max_degree, values)
     if (c.kind, target) in _CONVERSION_SUMS:
         family, weight = _CONVERSION_SUMS[(c.kind, target)]
 
@@ -299,7 +313,7 @@ def moments_to_cumulants(m: CumulantTable, target: str) -> CumulantTable:
     if target == "monotone":
         free = prelie.InfChar._trusted(m.n_letters, m.max_degree, values)
         values = _CONVERSIONS[("free", "monotone")](free).table
-    return CumulantTable(target, m.generators, m.max_degree, values)
+    return CumulantTable._trusted(target, m.generators, m.max_degree, values)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +620,11 @@ def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport
 
     # --- shuffle algebra of forms -------------------------------------------
 
+    # Each check group drops its forms once its checks have run, by a helper
+    # or by `del`, so their memos do not stay alive until the report
+    # returns; a form that a later check reads stays until that check has
+    # run.  The random tables are drawn in the same order either way.
+
     def rand_values():
         return {w: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for w in words}
 
@@ -627,22 +646,26 @@ def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport
             lambda u: (forms.COUNIT.eval(u), forms.COUNIT.eval(u)),
         )
 
-    fa, fb, fc = rand_inf(), rand_inf(), rand_inf()
     half_left, half_right, conv = forms.half_left, forms.half_right, forms.conv
-    for name, lhs, rhs in (
-        ("shuffle-A1", half_left(half_left(fa, fb), fc), half_left(fa, conv(fb, fc))),
-        (
-            "shuffle-A2",
-            half_left(half_right(fa, fb), fc),
-            half_right(fa, half_left(fb, fc)),
-        ),
-        (
-            "shuffle-A3",
-            half_right(fa, half_right(fb, fc)),
-            half_right(conv(fa, fb), fc),
-        ),
-    ):
-        check(name, _first_mismatch(word_bars, lhs.eval, rhs.eval))
+
+    def shuffle_axioms():
+        fa, fb, fc = rand_inf(), rand_inf(), rand_inf()
+        for name, lhs, rhs in (
+            ("shuffle-A1", half_left(half_left(fa, fb), fc), half_left(fa, conv(fb, fc))),
+            (
+                "shuffle-A2",
+                half_left(half_right(fa, fb), fc),
+                half_right(fa, half_left(fb, fc)),
+            ),
+            (
+                "shuffle-A3",
+                half_right(fa, half_right(fb, fc)),
+                half_right(conv(fa, fb), fc),
+            ),
+        ):
+            check(name, _first_mismatch(word_bars, lhs.eval, rhs.eval))
+
+    shuffle_axioms()
 
     phi, psi = rand_char(), rand_char()
     conv_char = conv(phi, psi)
@@ -655,9 +678,8 @@ def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport
             bars, conv_char.eval, lambda u: prod(conv_char.eval(lift(w)) for w in u)
         ),
     )
-
-    inv = forms.char_inverse(phi)
-    check("character-inverse", inverse_pair(phi, inv))
+    check("character-inverse", inverse_pair(phi, forms.char_inverse(phi)))
+    del psi, conv_char, halves  # phi is read again by log-star-infinitesimal
 
     def zero(u):
         return Fraction(0)
@@ -677,20 +699,17 @@ def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport
         for f in (x_left, z_right, forms.exp_star(rand_inf()))
     )
     check("exp-characters", next(filter(None, failures), None))
+    del kappa, x_left, beta, z_right, residual, failures
 
     rho = forms.log_star(phi)
     check("log-star-infinitesimal", _first_failure(bars, vanishes_off_words(rho)))
+    del phi, rho
 
     x = rand_inf()
-    grown = forms.exp_left(x)
-    shrunk = forms.exp_right(-x)
-    check("shuffle-inverse", inverse_pair(shrunk, grown))
+    check("shuffle-inverse", inverse_pair(forms.exp_right(-x), forms.exp_left(x)))
+    del x
 
-    for name, exp_fn, log_fn in (
-        ("log-exp-left", forms.exp_left, forms.log_left),
-        ("log-exp-right", forms.exp_right, forms.log_right),
-        ("log-exp-star", forms.exp_star, forms.log_star),
-    ):
+    def log_exp(exp_fn, log_fn):
         alpha = rand_inf()
         recovered = log_fn(exp_fn(alpha))
         detail = _first_mismatch(word_bars, recovered.eval, alpha.eval)
@@ -698,7 +717,14 @@ def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport
             unital = rand_char()
             rebuilt = exp_fn(log_fn(unital))
             detail = _first_mismatch(word_bars, rebuilt.eval, unital.eval)
-        check(name, detail)
+        return detail
+
+    for name, exp_fn, log_fn in (
+        ("log-exp-left", forms.exp_left, forms.log_left),
+        ("log-exp-right", forms.exp_right, forms.log_right),
+        ("log-exp-star", forms.exp_star, forms.log_star),
+    ):
+        check(name, log_exp(exp_fn, log_fn))
 
     # --- pre-Lie / Magnus ----------------------------------------------------
 
@@ -711,6 +737,7 @@ def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport
     lhs = tri(tri(ga, gb), gc) - tri(ga, tri(gb, gc))
     rhs = tri(tri(gb, ga), gc) - tri(gb, tri(ga, gc))
     check("prelie-identity", _first_mismatch(word_bars, lhs.eval, rhs.eval))
+    del ga, gb, gc, lhs, rhs
 
     seed_char = prelie.InfChar(n_letters, max_degree, rand_values())
     detail = None
@@ -728,15 +755,18 @@ def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport
     )
     check("magnus-fixed-point", detail)
 
-    w_of = prelie.w_map(seed_char)
-    star = forms.exp_star(forms.InfinitesimalFromWords(seed_char.table)).eval
-    left = forms.exp_left(forms.InfinitesimalFromWords(w_of.table))
-    detail = _first_mismatch(word_bars, left.eval, star)
-    if detail is None:
-        anti = -prelie.w_map(-seed_char)
-        right = forms.exp_right(forms.InfinitesimalFromWords(anti.table))
-        detail = _first_mismatch(word_bars, right.eval, star)
-    check("interchange", detail)
+    def interchange():
+        w_of = prelie.w_map(seed_char)
+        star = forms.exp_star(forms.InfinitesimalFromWords(seed_char.table)).eval
+        left = forms.exp_left(forms.InfinitesimalFromWords(w_of.table))
+        detail = _first_mismatch(word_bars, left.eval, star)
+        if detail is None:
+            anti = -prelie.w_map(-seed_char)
+            right = forms.exp_right(forms.InfinitesimalFromWords(anti.table))
+            detail = _first_mismatch(word_bars, right.eval, star)
+        return detail
+
+    check("interchange", interchange())
 
     # --- route equivalence on random tables ----------------------------------
 
@@ -745,7 +775,7 @@ def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport
     # Each kind's exponential against its partition sum.  Then free and
     # boolean cumulants meet the monotone exponential through their Magnus
     # conversion, and monotone ones the sum over monotone labellings.
-    for kind, table in tables.items():
+    def route(kind, table):
         moments = _MOMENT_EXP[kind](forms.InfinitesimalFromWords(table.values))
         family, weight = _CONVERSION_SUMS[(kind, "moment")]
         detail = _first_mismatch(
@@ -763,7 +793,10 @@ def verify_suite(max_degree: int, n_letters: int, seed: int = 1) -> VerifyReport
             om = _CONVERSIONS[(kind, "monotone")](_infchar(table))
             via_magnus = _MOMENT_EXP["monotone"](forms.InfinitesimalFromWords(om.table))
             detail = _first_mismatch(words, via_magnus.eval_word, moments.eval_word)
-        check(f"route-{kind}", detail)
+        return detail
+
+    for kind, table in tables.items():
+        check(f"route-{kind}", route(kind, table))
 
     # convert's own check: its shuffle route against the direct lattice sum.
     for source, target in sorted(p for p in _CONVERSION_SUMS if p[1] != "moment"):

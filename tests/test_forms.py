@@ -1,7 +1,7 @@
 """Linear forms: characters, half-shuffle products, exponentials, logarithms."""
 
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coproducts_reference import read_back
 from cumulants.coproducts import (
+    BARWORDS,
     bar_id,
     coproduct_left_terms,
     coproduct_right_terms,
@@ -339,3 +340,55 @@ def test_power_series_match_the_per_term_fraction_sum(left_table, right_table):
             value = series.eval(u)
             assert type(value) is F, (u, value)
             assert value == sum(reference_series_terms(base, coefficient, u)), u
+
+
+# Every memo holds its values as reduced integer pairs; only `eval` turns one
+# into a Fraction.
+
+
+def reachable(roots):
+    """The forms of the DAGs under roots, each once."""
+    seen, stack = {}, list(roots)
+    while stack:
+        form = stack.pop()
+        if id(form) not in seen:
+            seen[id(form)] = form
+            stack.extend(
+                child
+                for name in ("f", "g", "base", "_step")
+                if (child := getattr(form, name, None)) is not None
+            )
+            stack.extend(getattr(form, "_powers", ()))
+    return list(seen.values())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(word_tables(), word_tables())
+def test_memos_hold_reduced_integer_pairs(left_table, right_table):
+    phi = CharacterFromWords(left_table)
+    alpha = InfinitesimalFromWords(right_table)
+    # alpha + opposite vanishes everywhere: every sum cancels to zero
+    opposite = InfinitesimalFromWords({w: -v for w, v in right_table.items()})
+    sums = [(phi, alpha), (alpha, opposite), (conv(phi, alpha), half_left(alpha, phi))]
+    roots = [f + g for f, g in sums] + [-phi, -alpha, -(alpha + opposite)]
+    roots += [Conv(kind, phi, alpha) for kind in (CONV, LEFT, RIGHT)]
+    roots += [build(alpha) for build in (exp_left, exp_right, exp_star)]
+    roots += [build(phi) for build in (log_left, log_right, log_star, char_inverse)]
+    for form in roots:
+        for u in TWO_LETTER_BARWORDS:
+            form.eval(u)
+    for form in reachable(roots):
+        for i, value in list(form._memo.items()):
+            assert type(value) is tuple and len(value) == 2, (form, value)
+            p, q = value
+            assert type(p) is int and type(q) is int and q > 0, (form, value)
+            assert gcd(p, q) == 1, (form, value)  # so zero is (0, 1)
+            got = form.eval(BARWORDS[i])
+            assert type(got) is F and got == F(p, q), (form, value, got)
+            assert (got.numerator, got.denominator) == (p, q)
+    for u in TWO_LETTER_BARWORDS:
+        for (f, g), total in zip(sums, roots):
+            assert total.eval(u) == f.eval(u) + g.eval(u), u
+        assert roots[1].eval(u) == 0
+        for f, negated in zip((phi, alpha, roots[1]), roots[3:6]):
+            assert negated.eval(u) == -f.eval(u), u

@@ -267,6 +267,21 @@ def test_convert_table_dispatches_every_direction():
         convert_table(m, "moment")
 
 
+@pytest.mark.parametrize("source", transforms.KINDS)
+def test_converted_tables_are_the_validated_tables_of_their_values(source):
+    # results are kept as the kernels wrote them, unchecked: they must be
+    # what the validating constructor would build, in the same word order
+    table = random_table(source, 2, 3, seed=29)
+    for target in transforms.KINDS:
+        if target == source:
+            continue
+        out = convert_table(table, target)
+        validated = CumulantTable(target, table.generators, 3, out.values)
+        assert out == validated
+        assert list(out.values) == list(validated.values)
+        assert all(type(v) is F for v in out.values.values())
+
+
 @pytest.mark.parametrize("source", ["free", "boolean"])
 def test_a_wrong_monotone_result_is_caught_at_its_first_wrong_word(source, monkeypatch):
     c = random_table(source, 2, 4, seed=41)
